@@ -35,6 +35,7 @@ class AbsoluteVerdict:
     spectrum_lhs: float   # 3 Tr(rho^2) - 2 sum_{i<j} x_i x_j, from eigenvalues
     purity: float         # Tr(rho^2), from the Frobenius norm of rho
     bloch_sum: float      # |a|^2 + |b|^2 + ||T||_F^2
+    spread: float         # worst purity-scale disagreement between the routes
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,16 @@ class BellDiagonalState:
     weights: np.ndarray  # (4,) descending, assigned to {Phi+, Phi-, Psi+, Psi-}
     unitary: np.ndarray  # (4, 4), canonical = unitary @ rho @ unitary^dagger
     matrix: np.ndarray   # (4, 4) the Bell-diagonal state itself
+
+
+def orbit_safe(purity: float) -> bool:
+    """The one membership boundary: purity <= 1/2 up to BOUNDARY_TOL."""
+    return purity <= 0.5 + BOUNDARY_TOL
+
+
+def _spectrum_lhs(x: np.ndarray) -> float:
+    """best^2 = 3 sum_i x_i^2 - 2 sum_{i<j} x_i x_j of four eigenvalues."""
+    return 3.0 * float(np.sum(x**2)) - 2.0 * states.pairwise_sum(x)
 
 
 def f3_global_max(spectrum) -> float:
@@ -57,24 +68,21 @@ def f3_global_max(spectrum) -> float:
         x = np.asarray(spectrum, dtype=float)
     if x.shape != (4,):
         raise ValueError(f"expected 4 eigenvalues, got shape {x.shape}")
-    pair = sum(x[i] * x[j] for i in range(4) for j in range(i + 1, 4))
-    lhs = 3.0 * float(np.sum(x**2)) - 2.0 * float(pair)
-    return float(np.sqrt(max(lhs, 0.0)))
+    return float(np.sqrt(max(_spectrum_lhs(x), 0.0)))
 
 
 def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
     """Evaluate all four membership criteria and require they agree.
 
     Each criterion runs on its own code path (eigensolver, matrix norm,
-    Bloch decomposition, orbit formula).  The booleans are compared on a
-    common purity scale; disagreement or a broken algebraic identity raises
-    InternalInconsistency rather than silently picking a winner.
+    Bloch decomposition, orbit formula).  The values are compared on a
+    common purity scale; a spread beyond BOUNDARY_TOL raises
+    InternalInconsistency rather than silently picking a winner.  Membership
+    is orbit_safe of the Frobenius purity: four booleans differ only at round-off.
     """
     rho = np.asarray(rho, dtype=complex)
 
-    x = hermitian_eigensystem(rho).eigenvalues
-    pair = sum(x[i] * x[j] for i in range(4) for j in range(i + 1, 4))
-    spectrum_lhs = 3.0 * float(np.sum(x**2)) - 2.0 * float(pair)
+    spectrum_lhs = _spectrum_lhs(hermitian_eigensystem(rho).eigenvalues)
 
     purity = frobenius_norm(rho) ** 2
 
@@ -98,16 +106,13 @@ def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
             "criteria disagree: "
             + ", ".join(f"{k}={p:.15g}" for k, p in purities.items())
         )
-    flags = {k: p <= 0.5 + BOUNDARY_TOL for k, p in purities.items()}
-    if len(set(flags.values())) != 1:
-        raise InternalInconsistency(f"membership booleans disagree: {flags}")
-
     return AbsoluteVerdict(
-        in_aus3=flags["frobenius"],
+        in_aus3=orbit_safe(purity),
         f3_global_max=f3,
         spectrum_lhs=spectrum_lhs,
         purity=purity,
         bloch_sum=bloch_sum,
+        spread=worst,
     )
 
 
@@ -127,10 +132,9 @@ def bell_diagonal_canonical(rho: np.ndarray) -> BellDiagonalState:
 
 
 def frobenius_ball_check(rho: np.ndarray) -> bool:
-    """True when rho lies in the Frobenius ball of radius 1/2 around I/4."""
-    rho = np.asarray(rho, dtype=complex)
-    dist = frobenius_norm(rho - np.eye(4) / 4.0)
-    return dist <= 0.5 + 1e-10
+    """True when rho lies in the Frobenius ball of radius 1/2 around I/4:
+    ||rho - I/4||^2 = Tr(rho^2) - 1/4, judged on decide_aus3's purity, bit for bit."""
+    return orbit_safe(frobenius_norm(np.asarray(rho, dtype=complex)) ** 2)
 
 
 def reduced_pair_verdict(psi: np.ndarray) -> dict[str, AbsoluteVerdict]:

@@ -23,6 +23,8 @@ from .errors import (
 from . import absolute, families, sampling, states, steering, teleport, witness
 
 _VALIDATION_ERRORS = (NotHermitian, NotUnitTrace, NotPositive, OutOfRange)
+# Largest scan grid, in steps; each point keeps its state and verdict in memory.
+MAX_SCAN_STEPS = 200_000
 
 
 class StateFileError(ValueError):
@@ -38,6 +40,17 @@ def _fmt(x: float) -> str:
 
 def _fmt_vec(v) -> str:
     return " ".join(_fmt(x) for x in np.asarray(v, dtype=float))
+
+
+def _numbers(value, shape: tuple, message: str) -> np.ndarray:
+    """value as a float array of the given shape with finite entries; else StateFileError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise StateFileError(message) from None
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise StateFileError(message)
+    return arr
 
 
 def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
@@ -57,7 +70,7 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
         "family": {"format", "family", "parameters"},
     }
     tag = data["format"]
-    if tag not in allowed:
+    if not isinstance(tag, str) or tag not in allowed:
         raise StateFileError(f"unknown format tag {tag!r}")
     if set(data) != allowed[tag]:
         raise StateFileError(
@@ -65,29 +78,30 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
             f"got {sorted(data)}"
         )
     if tag == "matrix":
-        raw = np.asarray(data["matrix"], dtype=float)
-        if raw.shape != (4, 4, 2):
-            raise StateFileError("matrix must be 4 rows of 4 [re, im] pairs")
+        raw = _numbers(data["matrix"], (4, 4, 2), "matrix must be 4 rows of 4 finite [re, im] pairs")
         rho = states.validate(raw[..., 0] + 1j * raw[..., 1])
     elif tag == "bloch":
-        a = np.asarray(data["a"], dtype=float)
-        b = np.asarray(data["b"], dtype=float)
-        T = np.asarray(data["T"], dtype=float)
-        if a.shape != (3,) or b.shape != (3,) or T.shape != (3, 3):
-            raise StateFileError("bloch record needs a[3], b[3], T[3][3]")
+        message = "bloch record needs finite numbers a[3], b[3], T[3][3]"
+        a = _numbers(data["a"], (3,), message)
+        b = _numbers(data["b"], (3,), message)
+        T = _numbers(data["T"], (3, 3), message)
         rho = states.from_bloch(states.BlochForm(a=a, b=b, T=T))
     else:
         family = data["family"]
         params = data["parameters"]
         if not isinstance(params, dict):
             raise StateFileError("parameters must be an object")
+        values = {
+            key: float(_numbers(value, (), f"family parameter {key!r} must be a finite number"))
+            for key, value in params.items()
+        }
         try:
             if family == "werner":
-                rho = families.werner(float(params["p"]))
+                rho = families.werner(values["p"])
             elif family == "gisin":
-                rho = families.gisin(float(params["lambda"]), float(params["theta"]))
+                rho = families.gisin(values["lambda"], values["theta"])
             elif family == "xstate":
-                rho = families.x_state(*(float(params[f"v{k}"]) for k in range(1, 7)))
+                rho = families.x_state(*(values[f"v{k}"] for k in range(1, 7)))
             else:
                 raise StateFileError(f"unknown family {family!r}")
         except KeyError as exc:
@@ -128,19 +142,25 @@ def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
     lines.append(f"  in_aus3: {str(verdict.in_aus3).lower()}")
     lines.append(f"  teleportation_useful: {str(aux.N > 1.0).lower()}")
     lines.append(f"  chsh_local: {str(aux.M <= 1.0).lower()}")
-    if verdict.f3_global_max > 1.0:
+    if not verdict.in_aus3:
         w = witness.activation_witness(rho)
         expectation = float(np.real(np.trace(w.matrix @ rho)))
         lines.append(f"witness_expectation: {_fmt(expectation)}")
     return lines
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None) -> int:
+    """Write a report; returns 0, or 2 (with a message) when --out cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -152,18 +172,23 @@ def cmd_analyze(args) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_out("\n".join(_analysis_lines(args.infile, rho, echo)) + "\n", args.out)
-    return 0
+    return _write_out("\n".join(_analysis_lines(args.infile, rho, echo)) + "\n", args.out)
 
 
 def cmd_scan(args) -> int:
     if args.family not in families.SCANNABLE:
         print(f"scan supports families {families.SCANNABLE}", file=sys.stderr)
         return 2
+    if not np.all(np.isfinite([args.start, args.stop, args.step])):
+        print("--from, --to and --step must be finite", file=sys.stderr)
+        return 2
     if args.step <= 0 or args.stop < args.start:
         print("empty parameter range", file=sys.stderr)
         return 2
     span = (args.stop - args.start) / args.step
+    if not span <= MAX_SCAN_STEPS:  # also catches a span that overflows to inf
+        print(f"scan grid has more than {MAX_SCAN_STEPS} steps", file=sys.stderr)
+        return 2
     # hit the endpoint when the step divides the range, stay inside otherwise
     count = (int(round(span)) if abs(span - round(span)) < 1e-9 else int(span)) + 1
     grid = np.minimum(args.start + args.step * np.arange(count), args.stop)
@@ -187,8 +212,7 @@ def cmd_scan(args) -> int:
         )
     if result.threshold is not None:
         lines.append(f"# threshold: {_fmt(result.threshold)}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def cmd_sample(args) -> int:
@@ -204,8 +228,7 @@ def cmd_sample(args) -> int:
         f"fraction: {_fmt(fraction)}",
         f"stderr: {_fmt(stderr)}",
     ]
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def _check_maximality(n: int, seed: int) -> tuple[bool, float]:
@@ -228,15 +251,9 @@ def _check_four_criteria(n: int, seed: int) -> tuple[bool, float]:
     for k in range(n):
         rho = sampling.random_state(sampling.SeededGenerator(seed, k))
         try:
-            v = absolute.decide_aus3(rho)
+            worst = max(worst, absolute.decide_aus3(rho).spread)
         except InternalInconsistency:
             return False, np.inf
-        spread = max(
-            abs((v.spectrum_lhs + 1.0) / 4.0 - v.purity),
-            abs((v.bloch_sum + 1.0) / 4.0 - v.purity),
-            abs((v.f3_global_max**2 + 1.0) / 4.0 - v.purity),
-        )
-        worst = max(worst, spread)
     return worst <= 1e-9, worst
 
 
@@ -294,8 +311,7 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and ok
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} (worst margin {_fmt(margin)})")
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    return _write_out("\n".join(lines) + "\n", args.out) or (0 if all_ok else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,6 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        print("seed must be >= 0", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -118,9 +118,9 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
                 verdict=absolute.decide_aus3(sigma),
             )
         )
-    # The excess is 0 exactly on the boundary (Gisin even starts there at
-    # lam = 0), so the crossing is located from the tolerant membership flag
-    # and only then refined on the smooth excess.
+    # The excess is 0 exactly on the boundary (Gisin starts there at lam = 0),
+    # so the crossing is found from the tolerant flag; the strict refinement
+    # keeps the exact threshold (orbit_safe would move Werner's by 1.15e-9).
     threshold = None
     flags = [point.verdict.in_aus3 for point in points]
     for k in range(len(points) - 1):

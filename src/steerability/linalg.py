@@ -62,7 +62,7 @@ def singular_values_3x3(T: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(u[::-1], 0.0, None))
 
 
-def frobenius_norm(A: np.ndarray) -> float:
-    """sqrt(sum |entry|^2) of any finite matrix."""
-    A = np.asarray(A)
-    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
+def frobenius_norm(A: np.ndarray) -> float | np.ndarray:
+    """sqrt(sum |entry|^2) over the last two axes; an array for a stack of matrices."""
+    norm = np.sqrt(np.sum(np.abs(np.asarray(A)) ** 2, axis=(-2, -1)))
+    return float(norm) if norm.ndim == 0 else norm

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import frobenius_norm
 from . import states, steering
 
 
@@ -63,12 +64,6 @@ def random_state(g: SeededGenerator) -> np.ndarray:
     return states.validate(states_from_rng(g.rng()))
 
 
-def _f3_batch(rhos: np.ndarray) -> np.ndarray:
-    """Best three-setting value, ||T||_F, for a stack of states."""
-    T = np.real(np.einsum("ijab,nba->nij", states.PAULI_AB, rhos))
-    return np.sqrt(np.sum(T**2, axis=(1, 2)))
-
-
 def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
     """Largest best-three-setting value seen over sampled global unitaries.
 
@@ -87,7 +82,7 @@ def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
         count = min(chunk, trials - done)
         U = haar_from_rng(rng, size=count)
         conjugated = U @ rho @ np.swapaxes(U.conj(), -2, -1)
-        best = max(best, float(np.max(_f3_batch(conjugated))))
+        best = max(best, float(np.max(frobenius_norm(states.to_bloch(conjugated).T))))
         done += count
     return best
 

@@ -55,9 +55,9 @@ BELL_BASIS = np.array(
 class BlochForm:
     """Local Bloch vectors and correlation matrix of a two-qubit state."""
 
-    a: np.ndarray  # (3,) Alice Bloch vector
-    b: np.ndarray  # (3,) Bob Bloch vector
-    T: np.ndarray  # (3, 3) correlation matrix T_ij = Tr(rho s_i (x) s_j)
+    a: np.ndarray  # (..., 3) Alice Bloch vector
+    b: np.ndarray  # (..., 3) Bob Bloch vector
+    T: np.ndarray  # (..., 3, 3) correlation matrix T_ij = Tr(rho s_i (x) s_j)
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ def validate(M: np.ndarray) -> np.ndarray:
 
 
 def to_bloch(rho: np.ndarray) -> BlochForm:
-    """Hilbert-Schmidt decomposition of a valid state.
+    """Hilbert-Schmidt decomposition of a valid state or a (..., 4, 4) stack.
 
     a_i = Tr(rho s_i (x) I), b_j = Tr(rho I (x) s_j), T_ij = Tr(rho s_i (x) s_j).
     """
     rho = np.asarray(rho, dtype=complex)
-    a = np.real(np.einsum("iab,ba->i", PAULI_A, rho))
-    b = np.real(np.einsum("iab,ba->i", PAULI_B, rho))
-    T = np.real(np.einsum("ijab,ba->ij", PAULI_AB, rho))
+    a = np.real(np.einsum("iab,...ba->...i", PAULI_A, rho))
+    b = np.real(np.einsum("iab,...ba->...i", PAULI_B, rho))
+    T = np.real(np.einsum("ijab,...ba->...ij", PAULI_AB, rho))
     return BlochForm(a=a, b=b, T=T)
 
 
@@ -119,12 +119,15 @@ def from_bloch(form: BlochForm) -> np.ndarray:
     a = np.asarray(form.a, dtype=float)
     b = np.asarray(form.b, dtype=float)
     T = np.asarray(form.T, dtype=float)
-    M = (
-        np.eye(4, dtype=complex)
-        + np.einsum("i,iab->ab", a, PAULI_A)
-        + np.einsum("j,jab->ab", b, PAULI_B)
-        + np.einsum("ij,ijab->ab", T, PAULI_AB)
-    ) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):  # finite data can still overflow
+        M = (
+            np.eye(4, dtype=complex)
+            + np.einsum("i,iab->ab", a, PAULI_A)
+            + np.einsum("j,jab->ab", b, PAULI_B)
+            + np.einsum("ij,ijab->ab", T, PAULI_AB)
+        ) / 4.0
+    if not np.all(np.isfinite(M)):
+        raise NotPositive("Bloch data gives a non-finite matrix, so it describes no state")
     return validate(M)
 
 
@@ -142,8 +145,12 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
         raise InternalInconsistency(
             f"spectral purity {purity_spec:.15g} vs Frobenius purity {purity_frob:.15g}"
         )
-    pairwise = float(sum(w[i] * w[j] for i in range(4) for j in range(i + 1, 4)))
-    return SpectrumReport(eigenvalues=w, purity=purity_spec, pairwise_sum=pairwise)
+    return SpectrumReport(eigenvalues=w, purity=purity_spec, pairwise_sum=pairwise_sum(w))
+
+
+def pairwise_sum(x: np.ndarray) -> float:
+    """sum_{i<j} x_i x_j of four eigenvalues, summed in a fixed order."""
+    return float(sum(x[i] * x[j] for i in range(4) for j in range(i + 1, 4)))
 
 
 def _check_pure3(psi: np.ndarray) -> np.ndarray:

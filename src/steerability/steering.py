@@ -66,6 +66,11 @@ class SteeringValue:
         return self.value > 1.0
 
 
+def steering_operator(mu: MeasurementSetting) -> np.ndarray:
+    """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s), so Tr(S rho) is the signed functional."""
+    return np.einsum("ij,ik,jkab->ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
+
+
 def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float:
     """Signed (pre-absolute-value) functional, cross-checked two ways.
 
@@ -75,8 +80,7 @@ def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float:
     rho = np.asarray(rho, dtype=complex)
     T = states.to_bloch(rho).T
     bloch = float(np.einsum("ij,jk,ik->", mu.u, T, mu.v)) / np.sqrt(mu.n)
-    S = np.einsum("ij,ik,jkab->ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
-    direct = float(np.real(np.trace(S @ rho)))
+    direct = float(np.real(np.trace(steering_operator(mu) @ rho)))
     if abs(bloch - direct) > 1e-10:
         raise InternalInconsistency(
             f"Bloch evaluation {bloch:.15g} vs trace evaluation {direct:.15g}"

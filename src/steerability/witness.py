@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotActivatable
-from . import absolute, states, steering
+from . import absolute, steering
+from .steering import steering_operator
 
 
 @dataclass(frozen=True)
@@ -25,11 +26,6 @@ class WitnessOperator:
     matrix: np.ndarray            # (4, 4) Hermitian
     unitary: np.ndarray           # (4, 4) activating unitary
     setting: steering.MeasurementSetting
-
-
-def steering_operator(mu: steering.MeasurementSetting) -> np.ndarray:
-    """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s)."""
-    return np.einsum("ij,ik,jkab->ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
 
 
 def steering_witness(mu: steering.MeasurementSetting) -> np.ndarray:
@@ -44,15 +40,15 @@ def steering_witness(mu: steering.MeasurementSetting) -> np.ndarray:
 def activation_witness(sigma: np.ndarray) -> WitnessOperator:
     """Witness detecting that a global unitary can push sigma past the bound.
 
-    Raises NotActivatable when the orbit optimum of sigma is at most 1, in
-    which case no such operator exists.
+    Raises NotActivatable when sigma is orbit-safe (the same test as
+    decide_aus3), in which case no such operator exists.
     """
     sigma = np.asarray(sigma, dtype=complex)
     canonical = absolute.bell_diagonal_canonical(sigma)
-    best = absolute.f3_global_max(canonical.weights)
-    if best <= 1.0:
+    if absolute.frobenius_ball_check(sigma):
+        best = absolute.f3_global_max(canonical.weights)
         raise NotActivatable(
-            f"orbit optimum {best:.12g} <= 1; no global unitary creates a violation"
+            f"orbit optimum {best:.12g} is orbit-safe; no global unitary creates a violation"
         )
     mu = steering.optimal_directions(canonical.matrix, 3)
     U = canonical.unitary

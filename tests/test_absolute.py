@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from steerability import absolute, errors, families, sampling, states, steering
+from steerability import absolute, errors, families, sampling, states, steering, witness
 
 MIXED = np.eye(4) / 4
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
@@ -63,6 +65,12 @@ class TestDecide:
             assert abs(v.spectrum_lhs - (4 * v.purity - 1)) < 1e-10
             assert abs(v.bloch_sum - (4 * v.purity - 1)) < 1e-10
             assert v.in_aus3 == (v.purity <= 0.5 + absolute.BOUNDARY_TOL)
+            assert v.spread == max(
+                abs((v.spectrum_lhs + 1) / 4 - v.purity),
+                abs((v.bloch_sum + 1) / 4 - v.purity),
+                abs((v.f3_global_max**2 + 1) / 4 - v.purity),
+            )
+            assert v.spread <= 1e-9
 
     def test_global_unitary_invariance(self):
         for k in range(1000):
@@ -139,6 +147,55 @@ class TestBall:
         for k in range(500):
             rho = sampling.random_state(sampling.SeededGenerator(60, k))
             assert absolute.frobenius_ball_check(rho) == absolute.decide_aus3(rho).in_aus3
+
+
+def werner_at_purity(purity):
+    """Werner state with the given purity (1 + 3 p^2) / 4."""
+    return families.werner(np.sqrt((4 * purity - 1) / 3))
+
+
+def activatable(sigma):
+    """True when activation_witness returns a witness; it must then be negative on sigma."""
+    try:
+        w = witness.activation_witness(sigma)
+    except errors.NotActivatable:
+        return False
+    assert np.real(np.trace(w.matrix @ sigma)) < 0
+    return True
+
+
+class TestBoundaryPolicy:
+    """Every component draws the membership boundary through absolute.orbit_safe."""
+
+    @pytest.mark.parametrize("excess", [2e-10, 5e-10, 8e-10])
+    def test_just_above_half_purity_is_orbit_safe(self, excess):
+        sigma = werner_at_purity(0.5 + excess)
+        assert absolute.decide_aus3(sigma).in_aus3
+        assert absolute.frobenius_ball_check(sigma)
+        with pytest.raises(errors.NotActivatable):
+            witness.activation_witness(sigma)
+
+    def test_tolerance_edge(self):
+        assert absolute.orbit_safe(0.5 + absolute.BOUNDARY_TOL)
+        assert not absolute.orbit_safe(0.5 + 2 * absolute.BOUNDARY_TOL)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["werner", "gisin"]),
+        delta=st.floats(-1e-8, 1e-8),
+        theta=st.floats(0.1, 1.4),
+    )
+    # the purity routes straddle the tolerance edge by one ulp at these points
+    @example(family="gisin", delta=1e-9, theta=0.1)
+    @example(family="werner", delta=1.1547005383792515e-09, theta=0.1)
+    def test_components_agree_near_thresholds(self, family, delta, theta):
+        if family == "werner":
+            sigma = families.werner(1 / np.sqrt(3) + delta)
+        else:
+            sigma = families.gisin(2 / 3 + delta, theta)
+        inside = absolute.decide_aus3(sigma).in_aus3
+        assert absolute.frobenius_ball_check(sigma) == inside
+        assert activatable(sigma) == (not inside)
 
 
 class TestBoundaryScans:

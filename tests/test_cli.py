@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steerability import absolute, families, states
+from steerability import absolute, cli, families, states
 from steerability.cli import main
 
 
@@ -108,6 +110,29 @@ class TestAnalyze:
         )
         assert main(["analyze", "--in", path]) == 3
 
+    @pytest.mark.parametrize("excess", [2e-10, 5e-10, 8e-10])
+    def test_just_above_half_purity_reports_no_witness(self, tmp_path, capsys, excess):
+        p = float(np.sqrt((1 + 4 * excess) / 3))  # Werner purity (1 + 3 p^2) / 4
+        path = write_json(
+            tmp_path / "edge.json",
+            {"format": "family", "family": "werner", "parameters": {"p": p}},
+        )
+        assert main(["analyze", "--in", path]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["in_aus3"] == "true"
+        assert "witness_expectation" not in report
+
+    def test_state_at_the_tolerance_edge(self, tmp_path, capsys):
+        # the four purity routes straddle 1/2 + BOUNDARY_TOL by one ulp here
+        path = write_json(
+            tmp_path / "edge.json",
+            {"format": "family", "family": "gisin",
+             "parameters": {"lambda": 2 / 3 + 1e-9, "theta": 0.1}},
+        )
+        assert main(["analyze", "--in", path]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert ("witness_expectation" in report) == (report["in_aus3"] == "false")
+
 
 class TestScan:
     def test_werner_curve_file(self, tmp_path):
@@ -177,6 +202,84 @@ class TestVerify:
         monkeypatch.setattr(states, "PAULI_AB", bad)
         assert main(["verify", "--trials", "10", "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def _family(tmp_path, family, **parameters):
+    record = {"format": "family", "family": family, "parameters": parameters}
+    return ["analyze", "--in", write_json(tmp_path / "state.json", record)]
+
+
+_QUARTER = {f"v{k}": 0.25 for k in range(1, 5)}
+_WERNER = {"format": "family", "family": "werner", "parameters": {"p": 0.5}}
+_SCAN = ["scan", "--family", "werner", "--from", "0", "--to", "1", "--step"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda tmp: _family(tmp, "werner", p="abc"), id="parameter-abc"),
+        pytest.param(lambda tmp: _family(tmp, "werner", p=None), id="parameter-null"),
+        pytest.param(lambda tmp: _family(tmp, "xstate", **_QUARTER, v5=float("nan"), v6=0),
+                     id="xstate-nan"),
+        pytest.param(lambda tmp: ["analyze", "--in", write_json(
+            tmp / "m.json", {"format": "matrix", "matrix": [[[float("inf"), 0]] * 4] * 4})],
+            id="matrix-inf"),
+        pytest.param(lambda tmp: ["analyze", "--in", write_json(
+            tmp / "t.json", {"format": ["matrix"], "matrix": []})], id="format-not-a-string"),
+        pytest.param(lambda tmp: _SCAN + ["nan"], id="scan-step-nan"),
+        pytest.param(lambda tmp: _SCAN[:-3] + ["--to", "inf", "--step", "0.1"], id="scan-to-inf"),
+        pytest.param(lambda tmp: _SCAN + [repr(1 / (cli.MAX_SCAN_STEPS + 1))],
+                     id="scan-too-many-points"),
+        pytest.param(lambda tmp: ["sample", "--samples", "1000", "--seed", "-1"], id="sample-seed-neg"),
+        pytest.param(lambda tmp: ["verify", "--trials", "2", "--seed", "-1"], id="verify-seed-neg"),
+        pytest.param(lambda tmp: ["analyze", "--in", write_json(tmp / "w.json", _WERNER),
+                                  "--out", str(tmp / "missing" / "r.txt")], id="analyze-out-unwritable"),
+        pytest.param(lambda tmp: _SCAN + ["0.5", "--out", str(tmp / "missing" / "c.csv")],
+                     id="scan-out-unwritable"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+_JSON_LEAF = st.none() | st.booleans() | st.floats() | st.integers(-10**400, 10**400) | st.text(max_size=4)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _fixed(n, element):
+    return st.lists(element, min_size=n, max_size=n)
+
+
+_RECORDS = st.one_of(
+    st.fixed_dictionaries(
+        {"format": st.just("matrix"), "matrix": _fixed(4, _fixed(4, _fixed(2, _JSON_LEAF))) | _JSON}
+    ),
+    st.fixed_dictionaries(
+        {"format": st.just("bloch"), "a": _fixed(3, _JSON_LEAF), "b": _fixed(3, _JSON_LEAF),
+         "T": _fixed(3, _fixed(3, _JSON_LEAF)) | _JSON}
+    ),
+    st.fixed_dictionaries(
+        {"format": st.just("family"), "family": st.sampled_from(["werner", "gisin", "xstate"]) | _JSON,
+         "parameters": st.dictionaries(st.sampled_from(["p", "lambda", "theta", "v1", "v5", "v6"]), _JSON_LEAF)
+         | _JSON}
+    ),
+    _JSON,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(record=_RECORDS)
+def test_state_file_parser_never_crashes(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_text(json.dumps(record))
+    assert main(["analyze", "--in", str(path), "--out", str(path.with_suffix(".txt"))]) in (0, 2, 3)
 
 
 class TestUsage:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import absolute, families, sampling, states, steering
+from steerability import absolute, families, linalg, sampling, states, steering
 
 
 class TestHaar:
@@ -109,10 +109,15 @@ class TestVolumeEstimate:
         assert fraction == np.mean(purities <= 0.5)
 
 
-def test_f3_batch_matches_scalar_path():
+def test_stack_and_scalar_paths_agree_exactly():
     rhos = np.stack(
         [sampling.random_state(sampling.SeededGenerator(93, k)) for k in range(50)]
     )
-    batch = sampling._f3_batch(rhos)
-    for rho, val in zip(rhos, batch):
-        assert abs(val - steering.f3_max(rho).value) < 1e-12
+    forms = states.to_bloch(rhos)
+    norms = linalg.frobenius_norm(forms.T)
+    for k, rho in enumerate(rhos):
+        form = states.to_bloch(rho)
+        assert np.array_equal(forms.a[k], form.a)
+        assert np.array_equal(forms.b[k], form.b)
+        assert np.array_equal(forms.T[k], form.T)
+        assert norms[k] == linalg.frobenius_norm(form.T) == steering.f3_max(rho).value

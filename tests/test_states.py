@@ -104,6 +104,12 @@ class TestBloch:
         form = states.BlochForm(a=np.zeros(3), b=np.zeros(3), T=-np.eye(3))
         assert np.allclose(states.from_bloch(form), SINGLET, atol=1e-12)
 
+    def test_from_bloch_rejects_overflowing_data(self):
+        big = np.diag([0.0, 0.0, 1e308])
+        form = states.BlochForm(a=big[2], b=big[2], T=big)
+        with pytest.raises(errors.NotPositive):
+            states.from_bloch(form)
+
     def test_from_bloch_rejects_long_vector(self):
         form = states.BlochForm(a=np.array([0, 0, 2.0]), b=np.zeros(3), T=np.zeros((3, 3)))
         with pytest.raises(errors.NotPositive):
