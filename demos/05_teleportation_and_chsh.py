@@ -10,6 +10,7 @@ teleportation.
 import numpy as np
 
 import steerability as sb
+from steerability import checks
 
 print(f"{'p':>6} {'M':>8} {'F2':>8} {'F3':>8} {'N':>8}"
       f"  chsh-violating  3-steerable  teleport-useful")
@@ -25,8 +26,5 @@ print("\nthresholds on the Werner line: teleportation at p = 1/3,")
 print("3-setting steering at p = 1/sqrt(3) ~ 0.5774, CHSH at p = 1/sqrt(2) ~ 0.7071.")
 
 print("\nF3 <= N on random states (worst margin over 2000 draws):")
-worst = -np.inf
-for k in range(2000):
-    rho = sb.random_state(sb.SeededGenerator(55, k))
-    worst = max(worst, sb.f3_max(rho).value - sb.teleportation_N(rho))
+_, worst = checks.steer_implies_teleport(2000, 55)
 print(f"  max(F3 - N) = {worst:.6f}  (never positive)")

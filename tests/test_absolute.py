@@ -3,20 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steerability import absolute, errors, families, sampling, states, steering, witness
+from steerability import absolute, checks, errors, families, sampling, states, steering, witness
 
 MIXED = np.eye(4) / 4
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
-
-
-def member_state(k):
-    """A state with purity <= 1/2, by rejection from the HS ensemble."""
-    stream = k
-    while True:
-        rho = sampling.random_state(sampling.SeededGenerator(51, stream))
-        if np.sum(np.abs(rho) ** 2) <= 0.5:
-            return rho
-        stream += 10_000
 
 
 class TestGlobalMax:
@@ -82,13 +72,8 @@ class TestDecide:
             assert abs(v1.f3_global_max - v2.f3_global_max) < 1e-9
 
     def test_convexity_of_membership(self):
-        rng = np.random.default_rng(56)
-        for k in range(1000):
-            rho1 = member_state(2 * k)
-            rho2 = member_state(2 * k + 1)
-            lam = rng.uniform()
-            mix = states.validate(lam * rho1 + (1 - lam) * rho2)
-            assert absolute.decide_aus3(mix).in_aus3
+        ok, _ = checks.convexity(1000, 56)
+        assert ok
 
 
 class TestCanonical:

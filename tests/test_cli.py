@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerability import absolute, cli, families, states
+from steerability import absolute, checks, cli, families, states
 from steerability.cli import main
 
 
@@ -201,7 +201,26 @@ class TestVerify:
         bad[2, 2, 0, 0] *= -1
         monkeypatch.setattr(states, "PAULI_AB", bad)
         assert main(["verify", "--trials", "10", "--seed", "1"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        # the route-agreement check reports the disagreement it found
+        assert "# four_criteria: criteria disagree: " in out
+
+    def test_report_is_pinned(self, capsys):
+        assert main(["verify", "--trials", "20", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "maximality: PASS (worst margin 5.55111512313e-16)",
+            "four_criteria: PASS (worst margin 7.77156117238e-16)",
+            "steer_implies_teleport: PASS (worst margin -0.0630357061484)",
+            "convexity: PASS (worst margin -0.0445260142784)",
+            "overall: PASS",
+        ]
+
+    def test_convexity_check_keeps_its_tracer_name(self):
+        # benchmarks/tracer.py (KEPT) wraps cli._check_convexity and reads the
+        # length of its `members` local on return.
+        assert cli._check_convexity is checks.convexity
+        assert "members" in checks.convexity.__code__.co_varnames
 
 
 def _family(tmp_path, family, **parameters):
