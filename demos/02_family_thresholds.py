@@ -20,11 +20,11 @@ for family, param_name, closed_form in (
     result = sb.scan_family(family, grid)
     print(f"\n{family} family")
     print(f"{param_name:>8}   F3* - 1    orbit-safe")
-    for point in result.points:
-        value = point.parameters[param_name if family == "gisin" else "p"]
-        excess = point.verdict.f3_global_max - 1.0
+    verdict = result.verdict
+    for value, f3, inside in zip(result.grid, verdict.f3_global_max, verdict.in_aus3):
+        excess = f3 - 1.0
         bar = "#" * int(20 * max(excess, 0) / 0.8)
-        print(f"{value:8.2f}   {excess:+.4f}    {str(point.verdict.in_aus3):5} {bar}")
+        print(f"{value:8.2f}   {excess:+.4f}    {str(inside):5} {bar}")
     fine = sb.scan_family(family, np.arange(0.0, 1.0 + 1e-12, 1e-3))
     print(f"refined boundary: {fine.threshold:.12f}")
     print(f"closed form     : {closed_form:.12f}")

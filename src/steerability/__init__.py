@@ -71,7 +71,6 @@ from .sampling import (
     states_from_rng,
 )
 from .families import (
-    FamilyPoint,
     GHZ_STATE,
     ScanResult,
     W_STATE,

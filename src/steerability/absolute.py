@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .linalg import frobenius_norm, hermitian_eigensystem
+from .linalg import at_state, first_failure, frobenius_norm, hermitian_eigensystem
+from .linalg import scalar_or_array, square
 from . import states
 
 # Tolerance for boundary comparisons, applied on the purity scale.
@@ -28,7 +29,7 @@ BOUNDARY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AbsoluteVerdict:
-    """Outcome of the four independent membership criteria."""
+    """Outcome of the four independent membership criteria; arrays for a stack."""
 
     in_aus3: bool
     f3_global_max: float  # best three-setting value over the unitary orbit
@@ -42,9 +43,9 @@ class AbsoluteVerdict:
 class BellDiagonalState:
     """Spectrum placed on the Bell basis, with the unitary that gets there."""
 
-    weights: np.ndarray  # (4,) descending, assigned to {Phi+, Phi-, Psi+, Psi-}
-    unitary: np.ndarray  # (4, 4), canonical = unitary @ rho @ unitary^dagger
-    matrix: np.ndarray   # (4, 4) the Bell-diagonal state itself
+    weights: np.ndarray  # (..., 4) descending, assigned to {Phi+, Phi-, Psi+, Psi-}
+    unitary: np.ndarray  # (..., 4, 4), canonical = unitary @ rho @ unitary^dagger
+    matrix: np.ndarray   # (..., 4, 4) the Bell-diagonal state itself
 
 
 def orbit_safe(purity: float) -> bool:
@@ -52,9 +53,9 @@ def orbit_safe(purity: float) -> bool:
     return purity <= 0.5 + BOUNDARY_TOL
 
 
-def _spectrum_lhs(x: np.ndarray) -> float:
-    """best^2 = 3 sum_i x_i^2 - 2 sum_{i<j} x_i x_j of four eigenvalues."""
-    return 3.0 * float(np.sum(x**2)) - 2.0 * states.pairwise_sum(x)
+def _spectrum_lhs(x: np.ndarray) -> float | np.ndarray:
+    """best^2 = 3 sum_i x_i^2 - 2 sum_{i<j} x_i x_j of four eigenvalues (last axis)."""
+    return scalar_or_array(3.0 * np.sum(x**2, axis=-1) - 2.0 * states.pairwise_sum(x))
 
 
 def f3_global_max(spectrum) -> float:
@@ -77,42 +78,43 @@ def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
     Each criterion runs on its own code path (eigensolver, matrix norm,
     Bloch decomposition, orbit formula).  The values are compared on a
     common purity scale; a spread beyond BOUNDARY_TOL raises
-    InternalInconsistency rather than silently picking a winner.  Membership
-    is orbit_safe of the Frobenius purity: four booleans differ only at round-off.
+    InternalInconsistency (naming the state, in a stack) rather than silently
+    picking a winner.  Membership is orbit_safe of the Frobenius purity.
     """
     rho = np.asarray(rho, dtype=complex)
 
     spectrum_lhs = _spectrum_lhs(hermitian_eigensystem(rho).eigenvalues)
 
-    purity = frobenius_norm(rho) ** 2
+    purity = square(frobenius_norm(rho))
 
     form = states.to_bloch(rho)
-    bloch_sum = float(
-        np.sum(form.a**2) + np.sum(form.b**2) + np.sum(form.T**2)
+    bloch_sum = (
+        np.sum(form.a**2, axis=-1) + np.sum(form.b**2, axis=-1) + np.sum(form.T**2, axis=(-2, -1))
     )
 
-    f3 = float(np.sqrt(max(spectrum_lhs, 0.0)))
+    f3 = np.sqrt(np.maximum(spectrum_lhs, 0.0))
 
     # Purity-equivalents of the four criteria; all should match to ~1e-12.
     purities = {
         "spectrum": (spectrum_lhs + 1.0) / 4.0,
         "frobenius": purity,
         "bloch": (bloch_sum + 1.0) / 4.0,
-        "orbit": (f3**2 + 1.0) / 4.0,
+        "orbit": (square(f3) + 1.0) / 4.0,
     }
-    worst = max(abs(p - purity) for p in purities.values())
-    if worst > BOUNDARY_TOL:
+    spread = np.abs(np.array(list(purities.values())) - purity).max(axis=0)
+    if (i := first_failure(spread > BOUNDARY_TOL)) is not None:
         raise InternalInconsistency(
             "criteria disagree: "
-            + ", ".join(f"{k}={p:.15g}" for k, p in purities.items())
+            + ", ".join(f"{k}={np.asarray(p)[i]:.15g}" for k, p in purities.items())
+            + at_state(i)
         )
     return AbsoluteVerdict(
-        in_aus3=orbit_safe(purity),
-        f3_global_max=f3,
+        in_aus3=scalar_or_array(orbit_safe(purity)),
+        f3_global_max=scalar_or_array(f3),
         spectrum_lhs=spectrum_lhs,
         purity=purity,
-        bloch_sum=bloch_sum,
-        spread=worst,
+        bloch_sum=scalar_or_array(bloch_sum),
+        spread=scalar_or_array(spread),
     )
 
 
@@ -123,18 +125,17 @@ def bell_diagonal_canonical(rho: np.ndarray) -> BellDiagonalState:
     assignment gives the same best value; this one is fixed for
     reproducibility).  The returned state attains the orbit optimum.
     """
-    rho = np.asarray(rho, dtype=complex)
     sys = hermitian_eigensystem(rho)
     B = states.BELL_BASIS
-    U = B @ sys.eigenvectors.conj().T
-    canonical = (B * sys.eigenvalues) @ B.conj().T
+    U = B @ np.swapaxes(sys.eigenvectors.conj(), -2, -1)
+    canonical = (B * sys.eigenvalues[..., None, :]) @ B.conj().T
     return BellDiagonalState(weights=sys.eigenvalues, unitary=U, matrix=canonical)
 
 
 def frobenius_ball_check(rho: np.ndarray) -> bool:
     """True when rho lies in the Frobenius ball of radius 1/2 around I/4:
     ||rho - I/4||^2 = Tr(rho^2) - 1/4, judged on decide_aus3's purity, bit for bit."""
-    return orbit_safe(frobenius_norm(np.asarray(rho, dtype=complex)) ** 2)
+    return orbit_safe(square(frobenius_norm(np.asarray(rho, dtype=complex))))
 
 
 def reduced_pair_verdict(psi: np.ndarray) -> dict[str, AbsoluteVerdict]:

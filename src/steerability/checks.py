@@ -13,17 +13,26 @@ import numpy as np
 from . import absolute, sampling, states, steering, teleport
 
 
+def _draws(seed: int, streams) -> np.ndarray:
+    """Stack of the first random state of each (seed, stream)."""
+    return np.stack([sampling.random_state(sampling.SeededGenerator(seed, k)) for k in streams])
+
+
 def maximality(n: int, seed: int) -> tuple[bool, float]:
     """Sampled orbit values never beat the closed form; the canonical
-    Bell-diagonal state attains it.  Margin: worst (observed - bound)."""
-    worst = -np.inf
-    for k in range(n):
-        rho = sampling.random_state(sampling.SeededGenerator(seed, 2 * k))
-        bound = absolute.decide_aus3(rho).f3_global_max
-        sup = sampling.empirical_f3_sup(rho, n, sampling.SeededGenerator(seed, 2 * k + 1))
-        canonical = absolute.bell_diagonal_canonical(rho)
-        attained = steering.f3_max(canonical.matrix).value
-        worst = max(worst, sup - bound, abs(attained - bound))
+    Bell-diagonal state attains it.  Margin: worst (observed - bound).
+
+    Each of the n states gets its own n sampled unitaries, so the cost
+    grows with the square of n.
+    """
+    rhos = _draws(seed, range(0, 2 * n, 2))
+    bound = absolute.decide_aus3(rhos).f3_global_max
+    sup = np.array([
+        sampling.empirical_f3_sup(rho, n, sampling.SeededGenerator(seed, 2 * k + 1))
+        for k, rho in enumerate(rhos)
+    ])
+    attained = steering.f3_max(absolute.bell_diagonal_canonical(rhos).matrix).value
+    worst = float(np.max(np.maximum(sup - bound, np.abs(attained - bound))))
     return worst <= 1e-9, worst
 
 
@@ -31,46 +40,31 @@ def four_criteria(n: int, seed: int) -> tuple[bool, float]:
     """All membership routes agree; margin: worst purity-scale spread.
 
     A spread beyond the boundary tolerance raises InternalInconsistency
-    from decide_aus3, naming the four route values.
+    from decide_aus3, naming the four route values and the state.
     """
-    worst = 0.0
-    for k in range(n):
-        rho = sampling.random_state(sampling.SeededGenerator(seed, k))
-        worst = max(worst, absolute.decide_aus3(rho).spread)
+    worst = float(np.max(absolute.decide_aus3(_draws(seed, range(n))).spread))
     return worst <= 1e-9, worst
 
 
 def steer_implies_teleport(n: int, seed: int) -> tuple[bool, float]:
     """F3 <= N on every draw; margin: worst F3 - N."""
-    worst = -np.inf
-    ok = True
-    for k in range(n):
-        rho = sampling.random_state(sampling.SeededGenerator(seed, k))
-        f3 = steering.f3_max(rho).value
-        n_value = teleport.teleportation_N(rho)
-        worst = max(worst, f3 - n_value)
-        # teleport.steer_implies_teleport_check, on the values computed above
-        ok = ok and (f3 <= 1.0 or n_value > 1.0)
+    rhos = _draws(seed, range(n))
+    f3 = steering.f3_max(rhos).value
+    n_value = teleport.teleportation_N(rhos)
+    worst = float(np.max(f3 - n_value))
+    # teleport.steer_implies_teleport_check, on the values computed above
+    ok = bool(np.all((f3 <= 1.0) | (n_value > 1.0)))
     return ok and worst <= 1e-10, worst
 
 
 def convexity(n: int, seed: int) -> tuple[bool, float]:
     """Mixtures of member states stay members; margin: worst purity - 1/2."""
     rng = sampling.SeededGenerator(seed, 0).rng()
-    members: list[np.ndarray] = []
+    members = np.empty((0, 4, 4), dtype=complex)
     while len(members) < 2 * n:
         batch = sampling.states_from_rng(rng, size=4 * n)
-        for rho in batch:
-            if np.sum(np.abs(rho) ** 2) <= 0.5:
-                members.append(rho)
-                if len(members) == 2 * n:
-                    break
-    worst = -np.inf
-    ok = True
-    for k in range(n):
-        lam = rng.uniform()
-        mix = lam * members[2 * k] + (1.0 - lam) * members[2 * k + 1]
-        verdict = absolute.decide_aus3(states.validate(mix))
-        worst = max(worst, verdict.purity - 0.5)
-        ok = ok and verdict.in_aus3
-    return ok, worst
+        members = np.concatenate([members, batch[sampling.purity_at_most_half(batch)]])[: 2 * n]
+    lam = rng.uniform(size=n)[:, None, None]
+    mix = lam * members[0::2] + (1.0 - lam) * members[1::2]
+    verdict = absolute.decide_aus3(states.validate(mix))
+    return bool(np.all(verdict.in_aus3)), float(np.max(verdict.purity - 0.5))

@@ -28,18 +28,11 @@ W_STATE[1] = W_STATE[2] = W_STATE[4] = 1 / np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
-class FamilyPoint:
-    family: str
-    parameters: dict
-    state: np.ndarray
-    verdict: absolute.AbsoluteVerdict
-
-
-@dataclass(frozen=True)
 class ScanResult:
     family: str
-    points: list[FamilyPoint]
-    threshold: float | None  # refined boundary parameter, None if no crossing
+    grid: np.ndarray                   # (n,) parameter values
+    verdict: absolute.AbsoluteVerdict  # fields are (n,) arrays, one entry per grid value
+    threshold: float | None            # refined boundary parameter, None if no crossing
 
 
 def werner(p: float) -> np.ndarray:
@@ -97,41 +90,28 @@ def _excess(family: str, value: float, theta: float) -> float:
 def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     """Evaluate a one-parameter family on a grid and refine its boundary.
 
-    Each grid point carries the full membership verdict.  A sign change of
-    (orbit optimum - 1) between neighbours is refined by bisection to 1e-9.
+    One decide_aus3 call on the stacked family states gives every grid
+    value its membership verdict.  A sign change of (orbit optimum - 1)
+    between neighbours is refined by bisection to 1e-9.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise OutOfRange("parameter grid must be a nonempty 1-d sequence")
-    points: list[FamilyPoint] = []
-    for value in grid:
-        sigma = _family_state(family, float(value), theta)
-        parameters = {"p": float(value)} if family == "werner" else {
-            "lambda": float(value),
-            "theta": float(theta),
-        }
-        points.append(
-            FamilyPoint(
-                family=family,
-                parameters=parameters,
-                state=sigma,
-                verdict=absolute.decide_aus3(sigma),
-            )
-        )
+    sigmas = np.stack([_family_state(family, float(value), theta) for value in grid])
+    verdict = absolute.decide_aus3(sigmas)
     # The excess is 0 exactly on the boundary (Gisin starts there at lam = 0),
     # so the crossing is found from the tolerant flag; the strict refinement
     # keeps the exact threshold (orbit_safe would move Werner's by 1.15e-9).
     threshold = None
-    flags = [point.verdict.in_aus3 for point in points]
-    for k in range(len(points) - 1):
-        if flags[k] and not flags[k + 1]:
-            lo, hi = float(grid[k]), float(grid[k + 1])
-            while hi - lo > 1e-9:
-                mid = (lo + hi) / 2
-                if _excess(family, mid, theta) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            threshold = (lo + hi) / 2
-            break
-    return ScanResult(family=family, points=points, threshold=threshold)
+    flags = verdict.in_aus3
+    crossings = np.flatnonzero(flags[:-1] & ~flags[1:])
+    if crossings.size:
+        lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
+        while hi - lo > 1e-9:
+            mid = (lo + hi) / 2
+            if _excess(family, mid, theta) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        threshold = (lo + hi) / 2
+    return ScanResult(family=family, grid=grid, verdict=verdict, threshold=threshold)

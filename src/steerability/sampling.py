@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm
 from . import states, steering
 
 
@@ -82,9 +81,15 @@ def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
         count = min(chunk, trials - done)
         U = haar_from_rng(rng, size=count)
         conjugated = U @ rho @ np.swapaxes(U.conj(), -2, -1)
-        best = max(best, float(np.max(frobenius_norm(states.to_bloch(conjugated).T))))
+        best = max(best, float(np.max(steering.f3_max(conjugated).value)))
         done += count
     return best
+
+
+def purity_at_most_half(rhos: np.ndarray) -> np.ndarray:
+    """The set the Monte Carlo checks sample: Tr(rho^2) <= 1/2 for each state of a stack,
+    with no tolerance (unlike absolute.orbit_safe, which is a membership verdict)."""
+    return np.sum(np.abs(rhos) ** 2, axis=(-2, -1)) <= 0.5
 
 
 def aus3_volume_estimate(samples: int, g: SeededGenerator) -> tuple[float, float]:
@@ -101,8 +106,7 @@ def aus3_volume_estimate(samples: int, g: SeededGenerator) -> tuple[float, float
     while done < samples:
         count = min(chunk, samples - done)
         rhos = states_from_rng(rng, size=count)
-        purity = np.sum(np.abs(rhos) ** 2, axis=(1, 2))
-        hits += int(np.sum(purity <= 0.5))
+        hits += int(np.sum(purity_at_most_half(rhos)))
         done += count
     fraction = hits / samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))

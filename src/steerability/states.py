@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, NotHermitian, NotPositive, NotUnitTrace
-from .linalg import HERM_TOL, frobenius_norm, hermitian_eigensystem
+from .linalg import HERM_TOL, at_state, first_failure, frobenius_norm, hermitian_eigensystem
+from .linalg import scalar_or_array, square
 
 # Window in which a slightly negative eigenvalue is treated as round-off.
 EIG_CLAMP_TOL = 1e-10
@@ -70,32 +71,35 @@ class SpectrumReport:
 
 
 def validate(M: np.ndarray) -> np.ndarray:
-    """Check a 4x4 matrix for state-hood and return it (cleaned).
+    """Check a 4x4 matrix or (..., 4, 4) stack for state-hood and return it (cleaned).
 
     Hermiticity and unit trace are required within 1e-10.  Eigenvalues in
     [-1e-10, 0) are treated as round-off: they are clamped to zero and the
-    state is renormalized.  Anything more negative raises NotPositive.
+    state is renormalized.  Anything more negative raises NotPositive.  In a
+    stack, the first failing state is named by its index.
     """
     M = np.asarray(M, dtype=complex)
-    if M.shape != (4, 4):
+    if M.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    dev = np.max(np.abs(M - M.conj().T))
-    if dev > HERM_TOL:
-        raise NotHermitian(f"max |M - M^dagger| = {dev:.3e} exceeds {HERM_TOL:.1e}")
-    tr = np.trace(M)
-    if abs(tr - 1.0) > 1e-10:
-        raise NotUnitTrace(f"trace = {tr:.12g}, expected 1")
-    sys = hermitian_eigensystem((M + M.conj().T) / 2)
+    H = np.swapaxes(M.conj(), -2, -1)
+    dev = np.abs(M - H).max(axis=(-2, -1))
+    if (i := first_failure(dev > HERM_TOL)) is not None:
+        raise NotHermitian(f"max |M - M^dagger| = {dev[i]:.3e} exceeds {HERM_TOL:.1e}{at_state(i)}")
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    if (i := first_failure(np.abs(tr - 1.0) > 1e-10)) is not None:
+        raise NotUnitTrace(f"trace = {tr[i]:.12g}, expected 1{at_state(i)}")
+    sys = hermitian_eigensystem((M + H) / 2)
     w = sys.eigenvalues
-    if w[-1] < -EIG_CLAMP_TOL:
-        raise NotPositive(f"eigenvalue {w[-1]:.3e} below -{EIG_CLAMP_TOL:.1e}")
-    if w[-1] < 0.0:
-        w = np.clip(w, 0.0, None)
+    if (i := first_failure(w[..., -1] < -EIG_CLAMP_TOL)) is not None:
+        raise NotPositive(f"eigenvalue {w[i][-1]:.3e} below -{EIG_CLAMP_TOL:.1e}{at_state(i)}")
+    clamp = w[..., -1] < 0.0
+    if clamp.any():
         V = sys.eigenvectors
-        M = (V * w) @ V.conj().T
-        M = M / np.trace(M).real
+        R = (V * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(V.conj(), -2, -1)
+        R = R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None]
+        M = np.where(clamp[..., None, None], R, M)
     return M
 
 
@@ -140,7 +144,7 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
     rho = np.asarray(rho, dtype=complex)
     w = hermitian_eigensystem(rho).eigenvalues
     purity_spec = float(np.sum(w**2))
-    purity_frob = frobenius_norm(rho) ** 2
+    purity_frob = square(frobenius_norm(rho))
     if abs(purity_spec - purity_frob) > 1e-10:
         raise InternalInconsistency(
             f"spectral purity {purity_spec:.15g} vs Frobenius purity {purity_frob:.15g}"
@@ -148,9 +152,9 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
     return SpectrumReport(eigenvalues=w, purity=purity_spec, pairwise_sum=pairwise_sum(w))
 
 
-def pairwise_sum(x: np.ndarray) -> float:
-    """sum_{i<j} x_i x_j of four eigenvalues, summed in a fixed order."""
-    return float(sum(x[i] * x[j] for i in range(4) for j in range(i + 1, 4)))
+def pairwise_sum(x: np.ndarray) -> float | np.ndarray:
+    """sum_{i<j} x_i x_j of four eigenvalues (last axis), summed in a fixed order."""
+    return scalar_or_array(sum(x[..., i] * x[..., j] for i in range(4) for j in range(i + 1, 4)))
 
 
 def _check_pure3(psi: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidSetting
-from .linalg import frobenius_norm, singular_values_3x3
+from .linalg import frobenius_norm, scalar_or_array, singular_values_3x3, square
 from . import states
 
 _DIR_TOL = 1e-10
@@ -57,9 +57,9 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class SteeringValue:
-    """Nonnegative functional value; the inequality threshold is exactly 1."""
+    """Nonnegative functional value (an array for a stack); the threshold is exactly 1."""
 
-    value: float
+    value: float | np.ndarray
 
     @property
     def violated(self) -> bool:
@@ -94,15 +94,14 @@ def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> SteeringValu
 
 
 def f3_max(rho: np.ndarray) -> SteeringValue:
-    """Best three-setting value: the Frobenius norm of the correlation matrix."""
-    T = states.to_bloch(rho).T
-    return SteeringValue(frobenius_norm(T))
+    """Best three-setting value of a state or (..., 4, 4) stack: ||T||_F."""
+    return SteeringValue(frobenius_norm(states.to_bloch(rho).T))
 
 
 def f2_max(rho: np.ndarray) -> SteeringValue:
-    """Best two-setting value: sqrt of the two largest eigenvalues of T^t T."""
+    """Best two-setting value of a state or stack: sqrt of the two largest eigenvalues of T^t T."""
     s = singular_values_3x3(states.to_bloch(rho).T)
-    return SteeringValue(float(np.sqrt(s[0] ** 2 + s[1] ** 2)))
+    return SteeringValue(scalar_or_array(np.sqrt(square(s[..., 0]) + square(s[..., 1]))))
 
 
 def jm_bound_check(value: SteeringValue | float) -> bool:

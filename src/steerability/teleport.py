@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import singular_values_3x3
+from .linalg import scalar_or_array, singular_values_3x3, square
 from . import states, steering
 
 
@@ -25,13 +25,14 @@ class AuxCriteria:
 
     N: float
     M: float
-    u: np.ndarray  # (3,) eigenvalues of T^t T, descending
+    u: np.ndarray  # (..., 3) eigenvalues of T^t T, descending
 
 
 def aux_criteria(rho: np.ndarray) -> AuxCriteria:
-    """Compute N and M from a single singular-value decomposition of T."""
+    """N and M of a state or (..., 4, 4) stack from one singular-value decomposition of T."""
     s = singular_values_3x3(states.to_bloch(rho).T)
-    return AuxCriteria(N=float(np.sum(s)), M=float(s[0] ** 2 + s[1] ** 2), u=s**2)
+    M = square(s[..., 0]) + square(s[..., 1])
+    return AuxCriteria(N=scalar_or_array(np.sum(s, axis=-1)), M=M, u=s**2)
 
 
 def teleportation_N(rho: np.ndarray) -> float:

@@ -191,7 +191,7 @@ class TestBoundaryScans:
     def test_membership_has_no_reentry(self, family, threshold):
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         result = families.scan_family(family, grid)
-        flags = np.array([p.verdict.in_aus3 for p in result.points])
+        flags = result.verdict.in_aus3
         switch = np.flatnonzero(flags[:-1] != flags[1:])
         assert len(switch) == 1
         assert flags[0] and not flags[-1]

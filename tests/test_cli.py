@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from steerability import absolute, checks, cli, families, states
 from steerability.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_json(path, payload):
@@ -162,6 +165,13 @@ class TestScan:
         ) == 0
         threshold = float(out.read_text().splitlines()[-1].split(":")[1])
         assert abs(threshold - 2 / 3) < 1e-9
+
+    @pytest.mark.parametrize("family", ["werner", "gisin"])
+    def test_report_is_pinned(self, family, capsys):
+        # recorded from the per-state scan; a change that moves one bit of a row fails here
+        argv = ["scan", "--family", family, "--from", "0", "--to", "1", "--step", "0.01"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / f"scan_{family}_step_0.01.txt").read_text()
 
     def test_empty_range_exits_2(self):
         assert main(["scan", "--family", "werner", "--from", "1", "--to", "0", "--step", "0.1"]) == 2

@@ -123,13 +123,12 @@ class TestScan:
 
     def test_single_point_grid(self):
         result = families.scan_family("werner", [0.4])
-        assert len(result.points) == 1
+        assert len(result.grid) == 1
         assert result.threshold is None
-        point = result.points[0]
-        assert point.parameters == {"p": 0.4}
+        assert result.grid.tolist() == [0.4]
         direct = absolute.decide_aus3(families.werner(0.4))
-        assert point.verdict.in_aus3 == direct.in_aus3
-        assert point.verdict.f3_global_max == pytest.approx(
+        assert result.verdict.in_aus3[0] == direct.in_aus3
+        assert result.verdict.f3_global_max[0] == pytest.approx(
             direct.f3_global_max, abs=1e-12
         )
 

@@ -102,6 +102,15 @@ def test_frobenius_norm_values():
     assert linalg.frobenius_norm(np.eye(4) / 4 - np.eye(4) / 4) == 0.0
 
 
+def test_square_rounds_like_python_float_pow():
+    # the membership routes square through this helper, so a stack and its
+    # states one at a time get the same bits
+    x = np.random.default_rng(13).uniform(0.0, 2.0, 20_000)
+    assert linalg.square(x).tolist() == [v**2 for v in x.tolist()]
+    assert linalg.square(np.float64(0.3)) == 0.3**2
+    assert isinstance(linalg.square(np.float64(0.3)), float)
+
+
 def test_density_spectrum_invariant_under_conjugation():
     for k in range(50):
         rho = sampling.random_state(sampling.SeededGenerator(100, k))

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from steerability import absolute, families, linalg, sampling, states, steering
+from steerability import absolute, errors, families, linalg, sampling, states, steering, teleport
 
 
 class TestHaar:
@@ -109,15 +111,73 @@ class TestVolumeEstimate:
         assert fraction == np.mean(purities <= 0.5)
 
 
+def edge_states():
+    """States where one ulp decides in_aus3: Werner at purity 1/2 + {2, 5, 8}e-10
+    and Gisin at lambda = 2/3 + 1e-9, theta = 0.1."""
+    werner = [families.werner(np.sqrt((4 * (0.5 + e) - 1) / 3)) for e in (2e-10, 5e-10, 8e-10)]
+    return werner + [families.gisin(2 / 3 + 1e-9, 0.1)]
+
+
 def test_stack_and_scalar_paths_agree_exactly():
     rhos = np.stack(
         [sampling.random_state(sampling.SeededGenerator(93, k)) for k in range(50)]
+        + edge_states()
     )
+    eps = 5e-11  # one member takes validate's clamp-and-renormalize path
+    raw = np.concatenate([rhos, np.diag([0.5 + eps, 0.5, -eps, 0.0])[None]])
+    validated = states.validate(raw)
     forms = states.to_bloch(rhos)
     norms = linalg.frobenius_norm(forms.T)
+    verdicts = absolute.decide_aus3(rhos)
+    canonical = absolute.bell_diagonal_canonical(rhos)
+    f2 = steering.f2_max(rhos).value
+    f3 = steering.f3_max(rhos).value
+    aux = teleport.aux_criteria(rhos)
+    for k, M in enumerate(raw):
+        assert np.array_equal(validated[k], states.validate(M))
     for k, rho in enumerate(rhos):
         form = states.to_bloch(rho)
         assert np.array_equal(forms.a[k], form.a)
         assert np.array_equal(forms.b[k], form.b)
         assert np.array_equal(forms.T[k], form.T)
-        assert norms[k] == linalg.frobenius_norm(form.T) == steering.f3_max(rho).value
+        assert norms[k] == linalg.frobenius_norm(form.T) == f3[k] == steering.f3_max(rho).value
+        verdict = absolute.decide_aus3(rho)
+        for field in dataclasses.fields(verdict):
+            assert getattr(verdicts, field.name)[k] == getattr(verdict, field.name), field.name
+        single = absolute.bell_diagonal_canonical(rho)
+        assert np.array_equal(canonical.weights[k], single.weights)
+        assert np.array_equal(canonical.unitary[k], single.unitary)
+        assert np.array_equal(canonical.matrix[k], single.matrix)
+        assert f2[k] == steering.f2_max(rho).value
+        single_aux = teleport.aux_criteria(rho)
+        assert aux.N[k] == single_aux.N
+        assert aux.M[k] == single_aux.M
+        assert np.array_equal(aux.u[k], single_aux.u)
+
+
+BAD_STATES = {
+    "not-hermitian": (errors.NotHermitian, lambda rho: rho + np.triu(np.full((4, 4), 1e-6), 1)),
+    "not-unit-trace": (errors.NotUnitTrace, lambda rho: 1.01 * rho),
+    "not-positive": (errors.NotPositive, lambda rho: np.diag([1.5, -0.5, 0, 0]).astype(complex)),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_STATES, "corrupted-pauli-table"])
+def test_stack_error_names_the_bad_state(case, monkeypatch):
+    # <00|rho|00> = 0, so the corrupted Z(x)Z entry below leaves these states consistent
+    stack = np.stack([np.diag([0.0, 0.5, 0.25, 0.25]).astype(complex)] * 5)
+    rho = sampling.random_state(sampling.SeededGenerator(94))
+    if case in BAD_STATES:
+        error, corrupt = BAD_STATES[case]
+        stack[3] = corrupt(rho)
+        kernel = states.validate
+    else:
+        error, kernel = errors.InternalInconsistency, absolute.decide_aus3
+        bad = states.PAULI_AB.copy()
+        bad[2, 2, 0, 0] *= -1
+        monkeypatch.setattr(states, "PAULI_AB", bad)
+        stack[3] = rho
+    with pytest.raises(error, match=r" \(state 3 of the stack\)$") as info:
+        kernel(stack)
+    if error is errors.InternalInconsistency:
+        assert str(info.value).startswith("criteria disagree: ")
