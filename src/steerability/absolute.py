@@ -58,18 +58,13 @@ def _spectrum_lhs(x: np.ndarray) -> float | np.ndarray:
     return scalar_or_array(3.0 * np.sum(x**2, axis=-1) - 2.0 * states.pairwise_sum(x))
 
 
-def f3_global_max(spectrum) -> float:
-    """Best three-setting value over the global-unitary orbit of a spectrum.
-
-    Accepts a SpectrumReport or four eigenvalues summing to 1.
-    """
-    if isinstance(spectrum, states.SpectrumReport):
-        x = spectrum.eigenvalues
-    else:
-        x = np.asarray(spectrum, dtype=float)
-    if x.shape != (4,):
+def f3_global_max(spectrum) -> float | np.ndarray:
+    """Best three-setting value over the global-unitary orbit of four eigenvalues
+    summing to 1, or of each spectrum in a (..., 4) stack."""
+    x = np.asarray(spectrum, dtype=float)
+    if x.shape[-1:] != (4,):
         raise ValueError(f"expected 4 eigenvalues, got shape {x.shape}")
-    return float(np.sqrt(max(_spectrum_lhs(x), 0.0)))
+    return scalar_or_array(np.sqrt(np.maximum(_spectrum_lhs(x), 0.0)))
 
 
 def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:

@@ -14,8 +14,9 @@ from . import absolute, sampling, states, steering, teleport
 
 
 def _draws(seed: int, streams) -> np.ndarray:
-    """Stack of the first random state of each (seed, stream)."""
-    return np.stack([sampling.random_state(sampling.SeededGenerator(seed, k)) for k in streams])
+    """Stack of the first random state of each (seed, stream), validated as one stack."""
+    rngs = (sampling.SeededGenerator(seed, k).rng() for k in streams)
+    return states.validate(np.stack([sampling.states_from_rng(rng) for rng in rngs]))
 
 
 def maximality(n: int, seed: int) -> tuple[bool, float]:
@@ -49,12 +50,8 @@ def four_criteria(n: int, seed: int) -> tuple[bool, float]:
 def steer_implies_teleport(n: int, seed: int) -> tuple[bool, float]:
     """F3 <= N on every draw; margin: worst F3 - N."""
     rhos = _draws(seed, range(n))
-    f3 = steering.f3_max(rhos).value
-    n_value = teleport.teleportation_N(rhos)
-    worst = float(np.max(f3 - n_value))
-    # teleport.steer_implies_teleport_check, on the values computed above
-    ok = bool(np.all((f3 <= 1.0) | (n_value > 1.0)))
-    return ok and worst <= 1e-10, worst
+    worst = float(np.max(steering.f3_max(rhos).value - teleport.teleportation_N(rhos)))
+    return bool(np.all(teleport.steer_implies_teleport_check(rhos))) and worst <= 1e-10, worst
 
 
 def convexity(n: int, seed: int) -> tuple[bool, float]:

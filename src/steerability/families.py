@@ -10,15 +10,19 @@ Closed forms used by the scans:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import OutOfRange
+from .linalg import first_failure
 from . import absolute, states
 
 #: Families admitting a one-parameter threshold scan.
 SCANNABLE = ("werner", "gisin")
+
+#: States built and decided per stack in scan_family (bounds its peak memory).
+SCAN_CHUNK = 8192
 
 GHZ_STATE = np.zeros(8, dtype=complex)
 GHZ_STATE[0] = GHZ_STATE[7] = 1 / np.sqrt(2.0)
@@ -35,18 +39,24 @@ class ScanResult:
     threshold: float | None            # refined boundary parameter, None if no crossing
 
 
-def werner(p: float) -> np.ndarray:
-    """Mixture of the singlet with white noise, weight p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"werner weight must lie in [0, 1], got {p}")
+def _weights(family: str, w) -> np.ndarray:
+    """w as a (..., 1, 1) float array, checked to lie in [0, 1]; the first bad entry is named."""
+    arr = np.asarray(w, dtype=float)
+    if (i := first_failure(~((0.0 <= arr) & (arr <= 1.0)))) is not None:
+        raise OutOfRange(f"{family} weight must lie in [0, 1], got {arr[i]}")
+    return arr[..., None, None]
+
+
+def werner(p) -> np.ndarray:
+    """Mixture of the singlet with white noise, weight p in [0, 1] (a weight array: a stack)."""
+    p = _weights("werner", p)
     psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
     return states.validate(p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
 
 
-def gisin(lam: float, theta: float) -> np.ndarray:
-    """Mixture of sin(theta)|01> + cos(theta)|10> with an even |00>/|11> mix."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"gisin weight must lie in [0, 1], got {lam}")
+def gisin(lam, theta: float) -> np.ndarray:
+    """Mixture of sin(theta)|01> + cos(theta)|10> with an even |00>/|11> mix (lam as in werner)."""
+    lam = _weights("gisin", lam)
     if not 0.0 < theta < np.pi / 2:
         raise OutOfRange(f"gisin angle must lie in (0, pi/2), got {theta}")
     psi = np.array([0, np.sin(theta), np.cos(theta), 0], dtype=complex)
@@ -72,34 +82,27 @@ def x_state(v1: float, v2: float, v3: float, v4: float, v5: float, v6: float) ->
     return states.validate(M)
 
 
-def _family_state(family: str, value: float, theta: float) -> np.ndarray:
-    if family == "werner":
-        return werner(value)
-    if family == "gisin":
-        return gisin(value, theta)
-    raise OutOfRange(f"scannable families are {SCANNABLE}, got {family!r}")
-
-
-def _excess(family: str, value: float, theta: float) -> float:
-    """Orbit optimum minus 1; the scan root-finds this."""
-    sigma = _family_state(family, value, theta)
-    report = states.spectrum_report(sigma)
-    return absolute.f3_global_max(report) - 1.0
-
-
 def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     """Evaluate a one-parameter family on a grid and refine its boundary.
 
-    One decide_aus3 call on the stacked family states gives every grid
-    value its membership verdict.  A sign change of (orbit optimum - 1)
-    between neighbours is refined by bisection to 1e-9.
+    The family states are built and decided in stacks of SCAN_CHUNK grid
+    values.  A sign change of (orbit optimum - 1) between neighbours is
+    refined by bisection to 1e-9.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise OutOfRange("parameter grid must be a nonempty 1-d sequence")
-    sigmas = np.stack([_family_state(family, float(value), theta) for value in grid])
-    verdict = absolute.decide_aus3(sigmas)
-    # The excess is 0 exactly on the boundary (Gisin starts there at lam = 0),
+    if family not in SCANNABLE:
+        raise OutOfRange(f"scannable families are {SCANNABLE}, got {family!r}")
+
+    def decide(values) -> absolute.AbsoluteVerdict:
+        return absolute.decide_aus3(werner(values) if family == "werner" else gisin(values, theta))
+
+    chunks = [decide(grid[i : i + SCAN_CHUNK]) for i in range(0, grid.size, SCAN_CHUNK)]
+    verdict = absolute.AbsoluteVerdict(
+        **{f.name: np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(chunks[0])}
+    )
+    # The orbit optimum is 1 exactly on the boundary (Gisin starts there at lam = 0),
     # so the crossing is found from the tolerant flag; the strict refinement
     # keeps the exact threshold (orbit_safe would move Werner's by 1.15e-9).
     threshold = None
@@ -109,7 +112,7 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
         lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
         while hi - lo > 1e-9:
             mid = (lo + hi) / 2
-            if _excess(family, mid, theta) > 0.0:
+            if decide(mid).f3_global_max > 1.0:
                 hi = mid
             else:
                 lo = mid

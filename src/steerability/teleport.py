@@ -45,12 +45,12 @@ def chsh_M(rho: np.ndarray) -> float:
     return aux_criteria(rho).M
 
 
-def steer_implies_teleport_check(rho: np.ndarray) -> bool:
-    """True when (F3 > 1 implies N > 1) holds for this state.
+def steer_implies_teleport_check(rho: np.ndarray) -> bool | np.ndarray:
+    """True when (F3 > 1 implies N > 1) holds for this state (each state of a stack).
 
     This should never return False; it exists as a checkable witness of the
     steerability-to-teleportation implication.
     """
     f3 = steering.f3_max(rho).value
     n = teleportation_N(rho)
-    return (f3 <= 1.0) or (n > 1.0)
+    return scalar_or_array((f3 <= 1.0) | (n > 1.0))

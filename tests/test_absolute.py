@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steerability import absolute, checks, errors, families, sampling, states, steering, witness
+from steerability import absolute, checks, errors, families, linalg, sampling, states, steering, witness
 
 MIXED = np.eye(4) / 4
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
@@ -22,15 +22,14 @@ class TestGlobalMax:
 
     def test_accepts_spectrum_report(self):
         rep = states.spectrum_report(SINGLET)
-        assert absolute.f3_global_max(rep) == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert absolute.f3_global_max(rep.eigenvalues) == pytest.approx(np.sqrt(3), abs=1e-12)
 
     def test_identity_on_simplex(self):
         # best^2 == 4 * purity - 1 for every probability 4-vector
         rng = np.random.default_rng(52)
         spectra = rng.dirichlet(np.ones(4), size=100_000)
-        for x in spectra:
-            lhs = absolute.f3_global_max(x) ** 2
-            assert abs(lhs - (4 * np.sum(x**2) - 1)) < 1e-12
+        lhs = linalg.square(absolute.f3_global_max(spectra))
+        assert np.all(np.abs(lhs - (4 * np.sum(spectra**2, axis=-1) - 1)) < 1e-12)
 
 
 class TestDecide:
@@ -48,19 +47,15 @@ class TestDecide:
         assert v.f3_global_max == pytest.approx(0.0, abs=1e-12)
 
     def test_verdict_identities(self):
-        for k in range(500):
-            rho = sampling.random_state(sampling.SeededGenerator(53, k))
-            v = absolute.decide_aus3(rho)
-            assert abs(v.f3_global_max**2 - v.spectrum_lhs) < 1e-10
-            assert abs(v.spectrum_lhs - (4 * v.purity - 1)) < 1e-10
-            assert abs(v.bloch_sum - (4 * v.purity - 1)) < 1e-10
-            assert v.in_aus3 == (v.purity <= 0.5 + absolute.BOUNDARY_TOL)
-            assert v.spread == max(
-                abs((v.spectrum_lhs + 1) / 4 - v.purity),
-                abs((v.bloch_sum + 1) / 4 - v.purity),
-                abs((v.f3_global_max**2 + 1) / 4 - v.purity),
-            )
-            assert v.spread <= 1e-9
+        v = absolute.decide_aus3(checks._draws(53, range(500)))
+        f3_sq = linalg.square(v.f3_global_max)
+        assert np.all(np.abs(f3_sq - v.spectrum_lhs) < 1e-10)
+        assert np.all(np.abs(v.spectrum_lhs - (4 * v.purity - 1)) < 1e-10)
+        assert np.all(np.abs(v.bloch_sum - (4 * v.purity - 1)) < 1e-10)
+        assert np.array_equal(v.in_aus3, v.purity <= 0.5 + absolute.BOUNDARY_TOL)
+        routes = np.array([(v.spectrum_lhs + 1) / 4, (v.bloch_sum + 1) / 4, (f3_sq + 1) / 4])
+        assert np.array_equal(v.spread, np.abs(routes - v.purity).max(axis=0))
+        assert np.all(v.spread <= 1e-9)
 
     def test_global_unitary_invariance(self):
         for k in range(1000):
@@ -129,9 +124,8 @@ class TestBall:
         assert absolute.frobenius_ball_check(families.werner(1 / np.sqrt(3)))
 
     def test_matches_decide(self):
-        for k in range(500):
-            rho = sampling.random_state(sampling.SeededGenerator(60, k))
-            assert absolute.frobenius_ball_check(rho) == absolute.decide_aus3(rho).in_aus3
+        rhos = checks._draws(60, range(500))
+        assert np.array_equal(absolute.frobenius_ball_check(rhos), absolute.decide_aus3(rhos).in_aus3)
 
 
 def werner_at_purity(purity):

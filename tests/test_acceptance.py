@@ -14,6 +14,7 @@ from steerability import (
     checks,
     errors,
     families,
+    linalg,
     sampling,
     states,
     steering,
@@ -71,7 +72,7 @@ def test_criterion_02_gisin_threshold(tmp_path):
 
 def test_criterion_03_quantum_maximum():
     measured = steering.f3_max(SINGLET).value
-    orbit = absolute.f3_global_max(states.spectrum_report(SINGLET))
+    orbit = absolute.f3_global_max(states.spectrum_report(SINGLET).eigenvalues)
     assert abs(measured - 1.7320508076) < 1e-9 + 1e-10
     assert abs(measured - np.sqrt(3)) < 1e-9
     assert abs(orbit - measured) < 1e-9
@@ -80,56 +81,37 @@ def test_criterion_03_quantum_maximum():
 
 def test_criterion_04_purity_identity():
     start = time.perf_counter()
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for x in rng.dirichlet(np.ones(4), size=100_000):
-        gap = abs(absolute.f3_global_max(x) ** 2 - (4 * np.sum(x**2) - 1))
-        worst = max(worst, gap)
-        assert gap < 1e-10
-    for k in range(10_000):
-        rho = sampling.random_state(sampling.SeededGenerator(104, k))
-        purity = np.trace(rho @ rho).real
-        best = absolute.f3_global_max(states.spectrum_report(rho))
-        gap = abs(best**2 - (4 * purity - 1))
-        worst = max(worst, gap)
-        assert gap < 1e-10
+    simplex = np.random.default_rng(104).dirichlet(np.ones(4), size=100_000)
+    rhos = checks._draws(104, range(10_000))
+    spectra = np.concatenate([simplex, linalg.hermitian_eigensystem(rhos).eigenvalues])
+    purity = np.concatenate([np.sum(simplex**2, axis=-1), np.einsum("nab,nba->n", rhos, rhos).real])
+    gaps = np.abs(linalg.square(absolute.f3_global_max(spectra)) - (4 * purity - 1))
+    assert np.all(gaps < 1e-10)
+    worst = gaps.max()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"criterion 4 purity identity: PASS (worst gap {worst:.2e}, {elapsed:.1f} s)")
 
 
 def test_criterion_05_four_criteria_agreement():
+    edge = 0.5 + absolute.BOUNDARY_TOL
+    v = absolute.decide_aus3(checks._draws(105, range(10_000)))  # raises on disagreement
+    f3_route = (linalg.square(v.f3_global_max) + 1) / 4
+    for route in ((v.spectrum_lhs + 1) / 4, v.purity, (v.bloch_sum + 1) / 4, f3_route):
+        assert np.array_equal(route <= edge, v.in_aus3)
     rng = np.random.default_rng(105)
-    checked = 0
-    for k in range(10_000):
-        rho = sampling.random_state(sampling.SeededGenerator(105, k))
-        verdict = absolute.decide_aus3(rho)  # raises InternalInconsistency on disagreement
-        flags = {
-            verdict.in_aus3,
-            (verdict.spectrum_lhs + 1) / 4 <= 0.5 + absolute.BOUNDARY_TOL,
-            verdict.purity <= 0.5 + absolute.BOUNDARY_TOL,
-            (verdict.bloch_sum + 1) / 4 <= 0.5 + absolute.BOUNDARY_TOL,
-            (verdict.f3_global_max**2 + 1) / 4 <= 0.5 + absolute.BOUNDARY_TOL,
-        }
-        assert len(flags) == 1
-        checked += 1
+    raw = []
     for _ in range(1000):
         # states engineered to purity within 1e-6 of the boundary
         target = 0.5 + rng.uniform(-1e-6, 1e-6)
         weight = np.sqrt((target - 0.25) / 0.75)
-        rho = states.validate(
-            weight * random_pure_two_qubit(rng) + (1 - weight) * np.eye(4) / 4
-        )
-        assert abs(np.trace(rho @ rho).real - 0.5) <= 1e-6 + 1e-12
-        verdict = absolute.decide_aus3(rho)
-        flags = {
-            verdict.in_aus3,
-            verdict.purity <= 0.5 + absolute.BOUNDARY_TOL,
-            (verdict.spectrum_lhs + 1) / 4 <= 0.5 + absolute.BOUNDARY_TOL,
-            (verdict.bloch_sum + 1) / 4 <= 0.5 + absolute.BOUNDARY_TOL,
-        }
-        assert len(flags) == 1
-        checked += 1
+        raw.append(weight * random_pure_two_qubit(rng) + (1 - weight) * np.eye(4) / 4)
+    rhos = states.validate(np.stack(raw))
+    assert np.all(np.abs(np.trace(rhos @ rhos, axis1=-2, axis2=-1).real - 0.5) <= 1e-6 + 1e-12)
+    w = absolute.decide_aus3(rhos)
+    for route in (w.purity, (w.spectrum_lhs + 1) / 4, (w.bloch_sum + 1) / 4):
+        assert np.array_equal(route <= edge, w.in_aus3)
+    checked = len(v.in_aus3) + len(w.in_aus3)
     print(f"criterion 5 four-criteria agreement: PASS ({checked} states, 0 inconsistencies)")
 
 

@@ -180,6 +180,10 @@ class TestScan:
     def test_unknown_family_exits_2(self):
         assert main(["scan", "--family", "xstate", "--from", "0", "--to", "1", "--step", "0.1"]) == 2
 
+    def test_weight_out_of_range_exits_2(self, capsys):
+        assert main(["scan", "--family", "werner", "--from", "-0.5", "--to", "1", "--step", "0.5"]) == 2
+        assert capsys.readouterr().err == "OutOfRange: werner weight must lie in [0, 1], got -0.5\n"
+
 
 class TestSample:
     def test_deterministic_output(self, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import absolute, errors, families, states
+from steerability import absolute, errors, families, linalg, states
 
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
 
@@ -26,28 +26,26 @@ class TestWerner:
     def test_out_of_range(self, p):
         with pytest.raises(errors.OutOfRange):
             families.werner(p)
+        for bad in (p, np.nan):
+            with pytest.raises(errors.OutOfRange, match=rf"^werner weight must lie in \[0, 1\], got {bad}$"):
+                families.werner(np.array([0.2, bad, 0.3, -2.0]))
 
 
 class TestGisin:
     def test_spectrum_closed_form_any_angle(self):
-        for lam in np.linspace(0.0, 1.0, 51):
-            expected = np.array([lam, (1 - lam) / 2, (1 - lam) / 2, 0.0])
-            expected = np.sort(expected)[::-1]
-            for theta in (0.1, np.pi / 4, 1.4):
-                eigs = states.spectrum_report(families.gisin(lam, theta)).eigenvalues
-                assert np.max(np.abs(eigs - expected)) < 1e-10
+        lam = np.linspace(0.0, 1.0, 51)
+        expected = -np.sort(-np.stack([lam, (1 - lam) / 2, (1 - lam) / 2, 0 * lam], axis=-1))
+        for theta in (0.1, np.pi / 4, 1.4):
+            eigs = linalg.hermitian_eigensystem(families.gisin(lam, theta)).eigenvalues
+            assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_verdict_independent_of_angle(self):
-        for lam in (0.3, 2 / 3, 0.9):
-            verdicts = [
-                absolute.decide_aus3(families.gisin(lam, theta))
-                for theta in (0.1, np.pi / 4, 1.4)
-            ]
-            assert len({v.in_aus3 for v in verdicts}) == 1
-            spread = max(v.f3_global_max for v in verdicts) - min(
-                v.f3_global_max for v in verdicts
-            )
-            assert spread < 1e-10
+        lam = np.array([0.3, 2 / 3, 0.9])
+        verdicts = [
+            absolute.decide_aus3(families.gisin(lam, theta)) for theta in (0.1, np.pi / 4, 1.4)
+        ]
+        assert all(np.array_equal(v.in_aus3, verdicts[0].in_aus3) for v in verdicts)
+        assert np.max(np.ptp([v.f3_global_max for v in verdicts], axis=0)) < 1e-10
 
     def test_boundary_cases(self):
         boundary = absolute.decide_aus3(families.gisin(2 / 3, 0.8))
@@ -62,6 +60,9 @@ class TestGisin:
     def test_out_of_range(self):
         with pytest.raises(errors.OutOfRange):
             families.gisin(1.2, 0.5)
+        for bad in (1.2, np.nan):
+            with pytest.raises(errors.OutOfRange, match=rf"^gisin weight must lie in \[0, 1\], got {bad}$"):
+                families.gisin(np.array([[0.5, 0.1], [bad, 3.0]]), 0.5)
         with pytest.raises(errors.OutOfRange):
             families.gisin(0.5, 0.0)
         with pytest.raises(errors.OutOfRange):
@@ -131,6 +132,18 @@ class TestScan:
         assert result.verdict.f3_global_max[0] == pytest.approx(
             direct.f3_global_max, abs=1e-12
         )
+
+    def test_grid_longer_than_one_chunk(self):
+        # the Werner crossing falls between the last state of the first chunk and the next
+        edge = families.SCAN_CHUNK
+        grid = 1 / np.sqrt(3) + (np.arange(edge + 100) - edge + 0.5) * 1e-6
+        result = families.scan_family("werner", grid)
+        for k in (edge - 2, edge - 1, edge, edge + 1):
+            for name, value in vars(absolute.decide_aus3(families.werner(grid[k]))).items():
+                assert getattr(result.verdict, name)[k] == value
+        assert result.verdict.in_aus3[edge - 1] and not result.verdict.in_aus3[edge]
+        pair = families.scan_family("werner", grid[edge - 1 : edge + 1])
+        assert result.threshold == pair.threshold
 
     def test_rejects_bad_input(self):
         with pytest.raises(errors.OutOfRange):

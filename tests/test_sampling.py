@@ -119,6 +119,14 @@ def edge_states():
 
 
 def test_stack_and_scalar_paths_agree_exactly():
+    # family weights with the Werner and Gisin thresholds and their +-1e-9 neighbours
+    edges = np.array([-1e-9, 0.0, 1e-9])
+    grid = np.concatenate([np.linspace(0.0, 1.0, 41), 1 / np.sqrt(3) + edges, 2 / 3 + edges])
+    for theta in (0.1, np.pi / 4, 1.4):
+        werners, gisins = families.werner(grid), families.gisin(grid, theta)
+        for k, w in enumerate(grid):
+            assert np.array_equal(werners[k], families.werner(w))
+            assert np.array_equal(gisins[k], families.gisin(w, theta))
     rhos = np.stack(
         [sampling.random_state(sampling.SeededGenerator(93, k)) for k in range(50)]
         + edge_states()
@@ -133,6 +141,8 @@ def test_stack_and_scalar_paths_agree_exactly():
     f2 = steering.f2_max(rhos).value
     f3 = steering.f3_max(rhos).value
     aux = teleport.aux_criteria(rhos)
+    f3_orbit = absolute.f3_global_max(canonical.weights)
+    implication = teleport.steer_implies_teleport_check(rhos)
     for k, M in enumerate(raw):
         assert np.array_equal(validated[k], states.validate(M))
     for k, rho in enumerate(rhos):
@@ -148,11 +158,13 @@ def test_stack_and_scalar_paths_agree_exactly():
         assert np.array_equal(canonical.weights[k], single.weights)
         assert np.array_equal(canonical.unitary[k], single.unitary)
         assert np.array_equal(canonical.matrix[k], single.matrix)
+        assert f3_orbit[k] == absolute.f3_global_max(single.weights)
         assert f2[k] == steering.f2_max(rho).value
         single_aux = teleport.aux_criteria(rho)
         assert aux.N[k] == single_aux.N
         assert aux.M[k] == single_aux.M
         assert np.array_equal(aux.u[k], single_aux.u)
+        assert implication[k] == teleport.steer_implies_teleport_check(rho)
 
 
 BAD_STATES = {

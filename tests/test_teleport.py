@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import sampling, steering, teleport
+from steerability import checks, linalg, steering, teleport
 
 MIXED = np.eye(4) / 4
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
@@ -39,7 +39,7 @@ class TestChshM:
 
 class TestImplication:
     def test_examples(self):
-        assert teleport.steer_implies_teleport_check(SINGLET)
+        assert teleport.steer_implies_teleport_check(SINGLET) is True
         assert teleport.steer_implies_teleport_check(MIXED)
         rho = werner(0.6)
         assert steering.f3_max(rho).value > 1.0
@@ -49,15 +49,14 @@ class TestImplication:
 
 class TestProperties:
     def test_random_state_inequalities(self):
-        for k in range(10_000):
-            rho = sampling.random_state(sampling.SeededGenerator(61, k))
-            aux = teleport.aux_criteria(rho)
-            f3 = steering.f3_max(rho).value
-            assert f3 <= aux.N + 1e-10
-            assert aux.M <= f3**2 + 1e-10
-            assert aux.N >= np.sqrt(aux.M) - 1e-12
-            assert aux.N**2 >= aux.M - 1e-12
-            assert teleport.steer_implies_teleport_check(rho)
+        rhos = checks._draws(61, range(10_000))
+        aux = teleport.aux_criteria(rhos)
+        f3 = steering.f3_max(rhos).value
+        assert np.all(f3 <= aux.N + 1e-10)
+        assert np.all(aux.M <= linalg.square(f3) + 1e-10)
+        assert np.all(aux.N >= np.sqrt(aux.M) - 1e-12)
+        assert np.all(linalg.square(aux.N) >= aux.M - 1e-12)
+        assert np.all(teleport.steer_implies_teleport_check(rhos))
 
     def test_aux_single_source(self):
         rho = werner(0.42)
