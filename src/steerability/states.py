@@ -63,11 +63,11 @@ class BlochForm:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Descending eigenvalues of a state plus derived scalars."""
+    """Descending eigenvalues of a state plus derived scalars (arrays for a stack)."""
 
-    eigenvalues: np.ndarray  # (4,), descending
-    purity: float            # sum of squared eigenvalues
-    pairwise_sum: float      # sum_{i<j} x_i x_j
+    eigenvalues: np.ndarray           # (..., 4), descending
+    purity: float | np.ndarray        # sum of squared eigenvalues
+    pairwise_sum: float | np.ndarray  # sum_{i<j} x_i x_j
 
 
 def validate(M: np.ndarray) -> np.ndarray:
@@ -136,20 +136,20 @@ def from_bloch(form: BlochForm) -> np.ndarray:
 
 
 def spectrum_report(rho: np.ndarray) -> SpectrumReport:
-    """Descending spectrum, purity and pairwise eigenvalue sum of a state.
+    """Descending spectrum, purity and pairwise eigenvalue sum of a state or stack.
 
     Purity is computed both spectrally and as the squared Frobenius norm;
-    disagreement beyond 1e-10 raises InternalInconsistency.
+    disagreement beyond 1e-10 raises InternalInconsistency naming the state.
     """
     rho = np.asarray(rho, dtype=complex)
     w = hermitian_eigensystem(rho).eigenvalues
-    purity_spec = float(np.sum(w**2))
-    purity_frob = square(frobenius_norm(rho))
-    if abs(purity_spec - purity_frob) > 1e-10:
+    purity = np.sum(w**2, axis=-1)
+    frob = np.asarray(square(frobenius_norm(rho)))
+    if (i := first_failure(np.abs(purity - frob) > 1e-10)) is not None:
         raise InternalInconsistency(
-            f"spectral purity {purity_spec:.15g} vs Frobenius purity {purity_frob:.15g}"
+            f"spectral purity {purity[i]:.15g} vs Frobenius purity {frob[i]:.15g}{at_state(i)}"
         )
-    return SpectrumReport(eigenvalues=w, purity=purity_spec, pairwise_sum=pairwise_sum(w))
+    return SpectrumReport(eigenvalues=w, purity=scalar_or_array(purity), pairwise_sum=pairwise_sum(w))
 
 
 def pairwise_sum(x: np.ndarray) -> float | np.ndarray:

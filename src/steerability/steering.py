@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidSetting
-from .linalg import frobenius_norm, scalar_or_array, singular_values_3x3, square
+from .linalg import at_state, first_failure, frobenius_norm, scalar_or_array, singular_values_3x3, square
 from . import states
 
 _DIR_TOL = 1e-10
@@ -28,31 +28,31 @@ JM_BOUND = np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """n pairs of directions: unit vectors u and an orthonormal set v."""
+    """n pairs of directions: unit vectors u and an orthonormal set v, or a stack of them."""
 
-    u: np.ndarray  # (n, 3)
-    v: np.ndarray  # (n, 3)
+    u: np.ndarray  # (..., n, 3)
+    v: np.ndarray  # (..., n, 3)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if u.ndim != 2 or u.shape[1] != 3 or u.shape != v.shape:
+        if u.ndim < 2 or u.shape[-1] != 3 or u.shape != v.shape:
             raise InvalidSetting(f"need matching (n, 3) arrays, got {u.shape} and {v.shape}")
-        n = u.shape[0]
+        n = u.shape[-2]
         if n not in (2, 3):
             raise InvalidSetting(f"n must be 2 or 3, got {n}")
-        norms = np.linalg.norm(u, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _DIR_TOL:
-            raise InvalidSetting("u directions must be unit vectors")
-        gram = v @ v.T
-        if np.max(np.abs(gram - np.eye(n))) > _DIR_TOL:
-            raise InvalidSetting("v directions must be orthonormal")
+        norms = np.abs(np.linalg.norm(u, axis=-1) - 1.0).max(axis=-1)
+        if (i := first_failure(~(norms <= _DIR_TOL))) is not None:  # NaN counts as bad
+            raise InvalidSetting(f"u directions must be unit vectors{at_state(i)}")
+        gram = np.abs(v @ np.swapaxes(v, -2, -1) - np.eye(n)).max(axis=(-2, -1))
+        if (i := first_failure(~(gram <= _DIR_TOL))) is not None:
+            raise InvalidSetting(f"v directions must be orthonormal{at_state(i)}")
 
     @property
     def n(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,12 @@ class SteeringValue:
 
 
 def steering_operator(mu: MeasurementSetting) -> np.ndarray:
-    """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s), so Tr(S rho) is the signed functional."""
-    return np.einsum("ij,ik,jkab->ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
+    """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s), so Tr(S rho) is the signed functional;
+    (..., 4, 4) for a stack of settings."""
+    return np.einsum("...ij,...ik,jkab->...ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
 
 
-def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float:
+def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.ndarray:
     """Signed (pre-absolute-value) functional, cross-checked two ways.
 
     The Bloch-level sum u_i^t T v_i must match the direct operator trace;
@@ -79,17 +80,17 @@ def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     T = states.to_bloch(rho).T
-    bloch = float(np.einsum("ij,jk,ik->", mu.u, T, mu.v)) / np.sqrt(mu.n)
-    direct = float(np.real(np.trace(steering_operator(mu) @ rho)))
-    if abs(bloch - direct) > 1e-10:
+    bloch = np.einsum("...ij,...jk,...ik->...", mu.u, T, mu.v) / np.sqrt(mu.n)
+    direct = np.real(np.trace(steering_operator(mu) @ rho, axis1=-2, axis2=-1))
+    if (i := first_failure(np.abs(bloch - direct) > 1e-10)) is not None:
         raise InternalInconsistency(
-            f"Bloch evaluation {bloch:.15g} vs trace evaluation {direct:.15g}"
+            f"Bloch evaluation {bloch[i]:.15g} vs trace evaluation {direct[i]:.15g}{at_state(i)}"
         )
-    return bloch
+    return scalar_or_array(bloch)
 
 
 def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> SteeringValue:
-    """Evaluate the functional for explicit directions."""
+    """Evaluate the functional for explicit directions, broadcasting state and setting stacks."""
     return SteeringValue(abs(_signed_functional(rho, mu)))
 
 
@@ -104,10 +105,10 @@ def f2_max(rho: np.ndarray) -> SteeringValue:
     return SteeringValue(scalar_or_array(np.sqrt(square(s[..., 0]) + square(s[..., 1]))))
 
 
-def jm_bound_check(value: SteeringValue | float) -> bool:
-    """True when the value respects the sqrt(3) joint-measurability ceiling."""
-    x = value.value if isinstance(value, SteeringValue) else float(value)
-    return x <= JM_BOUND + 1e-9
+def jm_bound_check(value: SteeringValue | float | np.ndarray) -> bool | np.ndarray:
+    """True where the value respects the sqrt(3) joint-measurability ceiling."""
+    x = value.value if isinstance(value, SteeringValue) else value
+    return scalar_or_array(np.asarray(x, dtype=float) <= JM_BOUND + 1e-9)
 
 
 def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:

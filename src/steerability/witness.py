@@ -29,7 +29,7 @@ class WitnessOperator:
 
 
 def steering_witness(mu: steering.MeasurementSetting) -> np.ndarray:
-    """Affine witness I - S(mu) with expectation 1 - (signed functional).
+    """Affine witness I - S(mu) with expectation 1 - (signed functional); (..., 4, 4) for a stack.
 
     Directions with the opposite sign of S are themselves a valid setting
     (flip every u_i), so sign selection is left to the caller choosing mu.

@@ -58,13 +58,12 @@ class TestDecide:
         assert np.all(v.spread <= 1e-9)
 
     def test_global_unitary_invariance(self):
-        for k in range(1000):
-            rho = sampling.random_state(sampling.SeededGenerator(54, k))
-            U = sampling.haar_unitary(sampling.SeededGenerator(55, k))
-            v1 = absolute.decide_aus3(rho)
-            v2 = absolute.decide_aus3(U @ rho @ U.conj().T)
-            assert v1.in_aus3 == v2.in_aus3
-            assert abs(v1.f3_global_max - v2.f3_global_max) < 1e-9
+        rhos = checks._draws(54, range(1000))
+        U = np.stack([sampling.haar_unitary(sampling.SeededGenerator(55, k)) for k in range(1000)])
+        v1 = absolute.decide_aus3(rhos)
+        v2 = absolute.decide_aus3(U @ rhos @ np.swapaxes(U.conj(), -2, -1))
+        assert np.array_equal(v1.in_aus3, v2.in_aus3)
+        assert np.all(np.abs(v1.f3_global_max - v2.f3_global_max) < 1e-9)
 
     def test_convexity_of_membership(self):
         ok, _ = checks.convexity(1000, 56)
@@ -91,16 +90,15 @@ class TestCanonical:
         assert steering.f3_max(can.matrix).value == pytest.approx(np.sqrt(1.64), abs=1e-12)
 
     def test_canonical_contracts(self):
-        for k in range(300):
-            rho = sampling.random_state(sampling.SeededGenerator(57, k))
-            can = absolute.bell_diagonal_canonical(rho)
-            U = can.unitary
-            assert np.max(np.abs(U @ U.conj().T - np.eye(4))) < 1e-9
-            assert np.max(np.abs(U @ rho @ U.conj().T - can.matrix)) < 1e-9
-            T = states.to_bloch(can.matrix).T
-            assert np.max(np.abs(T - np.diag(np.diag(T)))) < 1e-10
-            bound = absolute.f3_global_max(can.weights)
-            assert abs(steering.f3_max(can.matrix).value - bound) < 1e-9
+        rhos = checks._draws(57, range(300))
+        can = absolute.bell_diagonal_canonical(rhos)
+        U, U_dagger = can.unitary, np.swapaxes(can.unitary.conj(), -2, -1)
+        assert np.max(np.abs(U @ U_dagger - np.eye(4))) < 1e-9
+        assert np.max(np.abs(U @ rhos @ U_dagger - can.matrix)) < 1e-9
+        T = states.to_bloch(can.matrix).T
+        assert np.max(np.abs(T - T * np.eye(3))) < 1e-10
+        bound = absolute.f3_global_max(can.weights)
+        assert np.max(np.abs(steering.f3_max(can.matrix).value - bound)) < 1e-9
 
     def test_orbit_never_beats_canonical(self):
         for k in range(100):

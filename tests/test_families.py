@@ -12,10 +12,10 @@ class TestWerner:
         assert np.allclose(families.werner(1.0), SINGLET, atol=1e-14)
 
     def test_eigenvalue_closed_form_on_grid(self):
-        for p in np.linspace(0.0, 1.0, 101):
-            eigs = states.spectrum_report(families.werner(p)).eigenvalues
-            expected = np.array([(1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4])
-            assert np.max(np.abs(eigs - expected)) < 1e-10
+        p = np.linspace(0.0, 1.0, 101)
+        eigs = states.spectrum_report(families.werner(p)).eigenvalues
+        expected = np.stack([(1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4], axis=-1)
+        assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_boundary_purity(self):
         rep = states.spectrum_report(families.werner(1 / np.sqrt(3)))

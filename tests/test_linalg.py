@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import errors, linalg, sampling
+from steerability import checks, errors, linalg, sampling
 
 
 def random_hermitian(rng):
@@ -46,18 +46,16 @@ def test_rejects_wrong_shape():
 
 def test_random_hermitian_contracts():
     rng = np.random.default_rng(11)
-    for _ in range(1000):
-        A = random_hermitian(rng)
-        sys = linalg.hermitian_eigensystem(A)
-        w, V = sys.eigenvalues, sys.eigenvectors
-        assert np.all(np.diff(w) <= 1e-14)  # descending
-        assert abs(np.sum(w) - np.trace(A).real) < 1e-10
-        recon = (V * w) @ V.conj().T
-        assert np.max(np.abs(recon - A)) < linalg.RECON_TOL
-        assert np.max(np.abs(V.conj().T @ V - np.eye(4))) < 1e-10
-        # eigenvector equations hold one by one
-        for k in range(4):
-            assert np.max(np.abs(A @ V[:, k] - w[k] * V[:, k])) < 1e-10
+    A = np.stack([random_hermitian(rng) for _ in range(1000)])
+    sys = linalg.hermitian_eigensystem(A)
+    w, V = sys.eigenvalues, sys.eigenvectors
+    V_dagger = np.swapaxes(V.conj(), -2, -1)
+    assert np.all(np.diff(w, axis=-1) <= 1e-14)  # descending
+    assert np.max(np.abs(np.sum(w, axis=-1) - np.trace(A, axis1=-2, axis2=-1).real)) < 1e-10
+    assert np.max(np.abs((V * w[:, None, :]) @ V_dagger - A)) < linalg.RECON_TOL
+    assert np.max(np.abs(V_dagger @ V - np.eye(4))) < 1e-10
+    # eigenvector equations hold one by one: A v_k = w_k v_k
+    assert np.max(np.abs(A @ V - V * w[:, None, :])) < 1e-10
 
 
 def test_singular_values_identity():
@@ -85,15 +83,14 @@ def test_singular_values_werner_correlation():
 
 def test_singular_values_match_svd_and_frobenius():
     rng = np.random.default_rng(12)
-    for _ in range(500):
-        T = rng.standard_normal((3, 3))
-        s = linalg.singular_values_3x3(T)
-        assert np.all(s >= 0) and np.all(np.diff(s) <= 1e-14)
-        assert np.allclose(s, np.linalg.svd(T, compute_uv=False), atol=1e-10)
-        assert abs(np.sum(s**2) - np.sum(T**2)) < 1e-10
-        # matches square roots of the eigenvalues of T^t T
-        u = np.sort(np.linalg.eigvalsh(T.T @ T))[::-1]
-        assert np.allclose(s, np.sqrt(np.clip(u, 0, None)), atol=1e-10)
+    T = np.stack([rng.standard_normal((3, 3)) for _ in range(500)])
+    s = linalg.singular_values_3x3(T)
+    assert np.all(s >= 0) and np.all(np.diff(s, axis=-1) <= 1e-14)
+    assert np.allclose(s, np.linalg.svd(T, compute_uv=False), atol=1e-10)
+    assert np.all(np.abs(np.sum(s**2, axis=-1) - np.sum(T**2, axis=(-2, -1))) < 1e-10)
+    # matches square roots of the eigenvalues of T^t T
+    u = np.sort(np.linalg.eigvalsh(np.swapaxes(T, -2, -1) @ T), axis=-1)[:, ::-1]
+    assert np.allclose(s, np.sqrt(np.clip(u, 0, None)), atol=1e-10)
 
 
 def test_frobenius_norm_values():
@@ -112,9 +109,8 @@ def test_square_rounds_like_python_float_pow():
 
 
 def test_density_spectrum_invariant_under_conjugation():
-    for k in range(50):
-        rho = sampling.random_state(sampling.SeededGenerator(100, k))
-        U = sampling.haar_unitary(sampling.SeededGenerator(101, k))
-        w1 = linalg.hermitian_eigensystem(rho).eigenvalues
-        w2 = linalg.hermitian_eigensystem(U @ rho @ U.conj().T).eigenvalues
-        assert np.max(np.abs(w1 - w2)) < 1e-9
+    rhos = checks._draws(100, range(50))
+    U = np.stack([sampling.haar_unitary(sampling.SeededGenerator(101, k)) for k in range(50)])
+    w1 = linalg.hermitian_eigensystem(rhos).eigenvalues
+    w2 = linalg.hermitian_eigensystem(U @ rhos @ np.swapaxes(U.conj(), -2, -1)).eigenvalues
+    assert np.max(np.abs(w1 - w2)) < 1e-9

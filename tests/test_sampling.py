@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from steerability import absolute, errors, families, linalg, sampling, states, steering, teleport
+from conftest import random_settings
+from steerability import absolute, errors, families, linalg, sampling, states, steering, teleport, witness
 
 
 class TestHaar:
@@ -143,6 +144,9 @@ def test_stack_and_scalar_paths_agree_exactly():
     aux = teleport.aux_criteria(rhos)
     f3_orbit = absolute.f3_global_max(canonical.weights)
     implication = teleport.steer_implies_teleport_check(rhos)
+    report = states.spectrum_report(rhos)
+    bounds = np.append(f3, steering.JM_BOUND + np.array([0.0, 1e-9, 2e-9]))
+    assert steering.jm_bound_check(bounds).tolist() == [steering.jm_bound_check(x) for x in bounds]
     for k, M in enumerate(raw):
         assert np.array_equal(validated[k], states.validate(M))
     for k, rho in enumerate(rhos):
@@ -165,6 +169,18 @@ def test_stack_and_scalar_paths_agree_exactly():
         assert aux.M[k] == single_aux.M
         assert np.array_equal(aux.u[k], single_aux.u)
         assert implication[k] == teleport.steer_implies_teleport_check(rho)
+        for name, value in vars(states.spectrum_report(rho)).items():
+            assert np.array_equal(getattr(report, name)[k], value), name
+    for n in (2, 3):  # one state and a stack of states against a stack of settings
+        _, mu = random_settings(np.random.default_rng(95), len(rhos), n)[n]
+        values, at_first = (steering.steering_functional(r, mu).value for r in (rhos, rhos[0]))
+        operators, witnesses = steering.steering_operator(mu), witness.steering_witness(mu)
+        for k, rho in enumerate(rhos):
+            one = steering.MeasurementSetting(u=mu.u[k], v=mu.v[k])
+            assert values[k] == steering.steering_functional(rho, one).value
+            assert at_first[k] == steering.steering_functional(rhos[0], one).value
+            assert np.array_equal(operators[k], steering.steering_operator(one))
+            assert np.array_equal(witnesses[k], witness.steering_witness(one))
 
 
 BAD_STATES = {

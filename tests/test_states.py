@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import errors, sampling, states
+from steerability import checks, errors, sampling, states
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -123,14 +123,13 @@ class TestBloch:
 
     def test_purity_identity(self):
         # Tr rho^2 = (1 + |a|^2 + |b|^2 + ||T||_F^2) / 4
-        for k in range(1000):
-            rho = sampling.random_state(sampling.SeededGenerator(23, k))
-            form = states.to_bloch(rho)
-            lhs = np.trace(rho @ rho).real
-            rhs = (1 + np.sum(form.a**2) + np.sum(form.b**2) + np.sum(form.T**2)) / 4
-            assert abs(lhs - rhs) < 1e-10
-            assert np.linalg.norm(form.a) <= 1 + 1e-9
-            assert np.linalg.norm(form.b) <= 1 + 1e-9
+        rhos = checks._draws(23, range(1000))
+        form = states.to_bloch(rhos)
+        lhs = np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
+        rhs = (1 + np.sum(form.a**2, -1) + np.sum(form.b**2, -1) + np.sum(form.T**2, (-2, -1))) / 4
+        assert np.all(np.abs(lhs - rhs) < 1e-10)
+        assert np.all(np.linalg.norm(form.a, axis=-1) <= 1 + 1e-9)
+        assert np.all(np.linalg.norm(form.b, axis=-1) <= 1 + 1e-9)
 
 
 class TestSpectrumReport:
@@ -160,12 +159,10 @@ class TestSpectrumReport:
         assert rep.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_report_identities(self):
-        for k in range(200):
-            rho = sampling.random_state(sampling.SeededGenerator(24, k))
-            rep = states.spectrum_report(rho)
-            assert abs(np.sum(rep.eigenvalues) - 1) < 1e-10
-            assert 0.25 - 1e-12 <= rep.purity <= 1 + 1e-12
-            assert abs(2 * rep.pairwise_sum - (1 - rep.purity)) < 1e-10
+        rep = states.spectrum_report(checks._draws(24, range(200)))
+        assert np.all(np.abs(np.sum(rep.eigenvalues, axis=-1) - 1) < 1e-10)
+        assert np.all((0.25 - 1e-12 <= rep.purity) & (rep.purity <= 1 + 1e-12))
+        assert np.all(np.abs(2 * rep.pairwise_sum - (1 - rep.purity)) < 1e-10)
 
 
 class TestThreeQubit:

@@ -1,37 +1,42 @@
 import numpy as np
 import pytest
 
-from steerability import errors, sampling, states, steering
+from conftest import random_settings
+from steerability import checks, errors, sampling, states, steering
 
 AXES = np.eye(3)
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
 MIXED = np.eye(4) / 4
 
 
-def random_setting(rng, n):
-    """Arbitrary valid setting: Haar-ish orthonormal v, independent unit u."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    u = rng.standard_normal((n, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return steering.MeasurementSetting(u=u, v=q[:, :n].T)
-
-
 class TestSettingValidation:
     def test_rejects_non_unit_u(self):
-        with pytest.raises(errors.InvalidSetting):
+        with pytest.raises(errors.InvalidSetting, match=r"^u directions must be unit vectors$"):
             steering.MeasurementSetting(u=2 * AXES, v=AXES)
 
     def test_rejects_non_orthonormal_v(self):
         v = AXES.copy()
         v[1] = [1, 1e-3, 0]
-        with pytest.raises(errors.InvalidSetting):
+        with pytest.raises(errors.InvalidSetting, match=r"^v directions must be orthonormal$"):
             steering.MeasurementSetting(u=AXES, v=v)
 
     def test_rejects_bad_n(self):
-        one = AXES[:1]
-        with pytest.raises(errors.InvalidSetting):
-            steering.MeasurementSetting(u=one, v=one)
+        for one in (AXES[:1], np.stack([AXES[:1]] * 5)):
+            with pytest.raises(errors.InvalidSetting, match=r"^n must be 2 or 3, got 1$"):
+                steering.MeasurementSetting(u=one, v=one)
+
+    def test_rejects_mismatched_shapes(self):
+        stack = np.stack([AXES] * 5)
+        for u, v in ((AXES, AXES[:2]), (AXES[0], AXES[0]), (stack, stack[:, :2]), (stack, AXES)):
+            with pytest.raises(errors.InvalidSetting, match=r"^need matching \(n, 3\) arrays, got "):
+                steering.MeasurementSetting(u=u, v=v)
+
+    @pytest.mark.parametrize("field, row", [(f, r) for f in "uv" for r in ([1, 1e-3, 0], [np.nan, 0, 0])])
+    def test_stack_error_names_the_bad_setting(self, field, row):
+        dirs = {"u": np.stack([AXES] * 5), "v": np.stack([AXES] * 5)}
+        dirs[field][3, 1] = row
+        with pytest.raises(errors.InvalidSetting, match=rf"^{field} directions .* \(state 3 of the stack\)$"):
+            steering.MeasurementSetting(**dirs)
 
     def test_repeated_u_allowed(self):
         u = np.array([[0, 0, 1.0], [0, 0, 1.0], [0, 0, 1.0]])
@@ -119,34 +124,27 @@ class TestBound:
 
 class TestProperties:
     def test_f3_equals_frobenius_and_dominates_f2(self):
-        for k in range(1000):
-            rho = sampling.random_state(sampling.SeededGenerator(42, k))
-            T = states.to_bloch(rho).T
-            s = np.linalg.svd(T, compute_uv=False)
-            f3 = steering.f3_max(rho).value
-            assert abs(f3**2 - np.sum(s**2)) < 1e-10
-            assert abs(f3**2 - np.sum(T**2)) < 1e-10
-            assert steering.f2_max(rho).value <= f3 + 1e-12
-            assert steering.jm_bound_check(steering.f3_max(rho))
+        rhos = checks._draws(42, range(1000))
+        T = states.to_bloch(rhos).T
+        s = np.linalg.svd(T, compute_uv=False)
+        f3 = steering.f3_max(rhos)
+        assert np.all(np.abs(f3.value**2 - np.sum(s**2, axis=-1)) < 1e-10)
+        assert np.all(np.abs(f3.value**2 - np.sum(T**2, axis=(-2, -1))) < 1e-10)
+        assert np.all(steering.f2_max(rhos).value <= f3.value + 1e-12)
+        assert np.all(steering.jm_bound_check(f3))
 
     def test_no_setting_beats_the_optimum(self):
-        rng = np.random.default_rng(43)
-        for k in range(1000):
-            rho = sampling.random_state(sampling.SeededGenerator(44, k))
-            caps = {2: steering.f2_max(rho).value, 3: steering.f3_max(rho).value}
-            for _ in range(100):
-                n = int(rng.integers(2, 4))
-                mu = random_setting(rng, n)
-                assert steering.steering_functional(rho, mu).value <= caps[n] + 1e-9
+        # 100 settings for each of 1,000 states; draw j belongs to state j // 100
+        rhos = checks._draws(44, range(1000))
+        caps = {2: steering.f2_max(rhos).value, 3: steering.f3_max(rhos).value}
+        for n, (positions, mu) in random_settings(np.random.default_rng(43), 100_000).items():
+            owner = positions // 100
+            assert np.all(steering.steering_functional(rhos[owner], mu).value <= caps[n][owner] + 1e-9)
 
     def test_local_unitary_invariance(self):
-        for k in range(200):
-            rho = sampling.random_state(sampling.SeededGenerator(45, k))
-            rng = sampling.SeededGenerator(46, k).rng()
-            ua = sampling.haar_from_rng(rng, dim=2)
-            ub = sampling.haar_from_rng(rng, dim=2)
-            local = np.kron(ua, ub)
-            rotated = local @ rho @ local.conj().T
-            assert abs(
-                steering.f3_max(rotated).value - steering.f3_max(rho).value
-            ) < 1e-9
+        rhos = checks._draws(45, range(200))
+        rngs = [sampling.SeededGenerator(46, k).rng() for k in range(200)]
+        pairs = [[sampling.haar_from_rng(rng, dim=2) for _ in range(2)] for rng in rngs]
+        local = np.stack([np.kron(ua, ub) for ua, ub in pairs])
+        rotated = local @ rhos @ np.swapaxes(local.conj(), -2, -1)
+        assert np.all(np.abs(steering.f3_max(rotated).value - steering.f3_max(rhos).value) < 1e-9)

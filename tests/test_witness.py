@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from steerability import absolute, errors, families, sampling, steering, witness
+from conftest import random_settings
+from steerability import absolute, checks, errors, families, sampling, steering, witness
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -36,28 +37,15 @@ class TestSteeringOperator:
         assert np.allclose(S, expected, atol=1e-14)
 
     def test_traceless_against_maximally_mixed(self):
-        rng = np.random.default_rng(72)
-        for _ in range(20):
-            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-            q = q * np.sign(np.diag(r))
-            u = rng.standard_normal((3, 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            mu = steering.MeasurementSetting(u=u, v=q.T)
-            S = witness.steering_operator(mu)
-            assert abs(np.trace(S @ MIXED)) < 1e-14
+        _, mu = random_settings(np.random.default_rng(72), 20, n=3)[3]
+        S = witness.steering_operator(mu)
+        assert np.all(np.abs(np.trace(S @ MIXED, axis1=-2, axis2=-1)) < 1e-14)
 
     def test_reproduces_signed_functional(self):
-        rng = np.random.default_rng(73)
-        for k in range(100):
-            rho = sampling.random_state(sampling.SeededGenerator(74, k))
-            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-            q = q * np.sign(np.diag(r))
-            u = rng.standard_normal((3, 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            mu = steering.MeasurementSetting(u=u, v=q.T)
-            S = witness.steering_operator(mu)
-            signed = np.trace(S @ rho).real
-            assert abs(abs(signed) - steering.steering_functional(rho, mu).value) < 1e-10
+        rhos = checks._draws(74, range(100))
+        _, mu = random_settings(np.random.default_rng(73), 100, n=3)[3]
+        signed = np.trace(witness.steering_operator(mu) @ rhos, axis1=-2, axis2=-1).real
+        assert np.all(np.abs(np.abs(signed) - steering.steering_functional(rhos, mu).value) < 1e-10)
 
 
 class TestSteeringWitness:
@@ -128,7 +116,6 @@ class TestActivationWitness:
             witness.activation_witness(families.werner(0.7)).matrix,
             witness.activation_witness(random).matrix,
         ]
-        for k in range(300):
-            sigma = sample_member(k)
-            for W in detectors:
-                assert np.trace(W @ sigma).real >= -1e-9
+        sigmas = np.stack([sample_member(k) for k in range(300)])
+        for W in detectors:
+            assert np.all(np.trace(W @ sigmas, axis1=-2, axis2=-1).real >= -1e-9)
