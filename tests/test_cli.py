@@ -125,6 +125,14 @@ class TestAnalyze:
         assert report["in_aus3"] == "true"
         assert "witness_expectation" not in report
 
+    @pytest.mark.parametrize("name", sorted(f.stem for f in (DATA / "analyze").glob("*.json")))
+    def test_report_is_pinned(self, name, monkeypatch, capsys):
+        # recorded from the numpy-scalar witness bisection; eight of the twelve
+        # states are activatable, so their witness_expectation lines are pinned too
+        monkeypatch.chdir(DATA / "analyze")
+        assert main(["analyze", "--in", f"{name}.json"]) == 0
+        assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
+
     def test_state_at_the_tolerance_edge(self, tmp_path, capsys):
         # the four purity routes straddle 1/2 + BOUNDARY_TOL by one ulp here
         path = write_json(
