@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property failure (verify), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,6 +250,7 @@ def cmd_verify(args) -> int:
     return _write_out("\n".join(lines) + "\n", args.out) or (0 if all_ok else 1)
 
 
+@functools.cache  # built on the first main() call; in-process callers share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerability",

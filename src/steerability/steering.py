@@ -12,6 +12,7 @@ values s_i of the correlation matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,21 +133,21 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
             break
         # Rotate in the (hi, lo) plane until entry hi equals the mean; the
         # endpoints bracket the target, so bisection on the angle is safe.
+        # Python floats: math.cos/math.sin round like np.cos/np.sin on these
+        # angles (pinned in the tests), so each step has numpy's bits.
+        d_hh, d_ll, d_hl, target = float(D[hi, hi]), float(D[lo, lo]), float(D[hi, lo]), float(mean)
+
         def pinned(theta: float) -> float:
-            c, s = np.cos(theta), np.sin(theta)
-            return (
-                c * c * D[hi, hi]
-                + s * s * D[lo, lo]
-                + 2 * c * s * D[hi, lo]
-                - mean
-            )
-        a, b = 0.0, np.pi / 2  # pinned(a) >= 0 >= pinned(b) by the argmax/argmin choice
+            c, s = math.cos(theta), math.sin(theta)
+            return c * c * d_hh + s * s * d_ll + 2 * c * s * d_hl - target
+
+        a, b = 0.0, math.pi / 2  # pinned(a) >= 0 >= pinned(b) by the argmax/argmin choice
         for _ in range(80):
             mid = (a + b) / 2
-            if pinned(mid) > 0:
-                a = mid
-            else:
-                b = mid
+            step = (mid, b) if pinned(mid) > 0 else (a, mid)
+            if step == (a, b):
+                break  # the loop is deterministic, so every later step repeats this one
+            a, b = step
         theta = (a + b) / 2
         c, s = np.cos(theta), np.sin(theta)
         G = np.eye(k)

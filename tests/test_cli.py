@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +130,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", sorted(f.stem for f in (DATA / "analyze").glob("*.json")))
     def test_report_is_pinned(self, name, monkeypatch, capsys):
-        # recorded from the numpy-scalar witness bisection; eight of the twelve
-        # states are activatable, so their witness_expectation lines are pinned too
+        # eight of the twelve states are activatable, so their witness_expectation
+        # lines are pinned too
         monkeypatch.chdir(DATA / "analyze")
         assert main(["analyze", "--in", f"{name}.json"]) == 0
         assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
@@ -333,3 +336,35 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["sample", "--samples", "many"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_behave_as_in_fresh_ones(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "w.json",
+            {"format": "family", "family": "werner", "parameters": {"p": 0.8}},
+        )
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["scan"])
+        assert err.value.code == 2
+        assert main(["verify", "--trials", "1", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", path, "--out", str(out)]) == 0
+        report = out.read_text()
+        out.unlink()
+        assert capsys.readouterr().out == ""
+        assert main(["analyze", "--in", path]) == 0
+        assert capsys.readouterr().out == report
+        assert not out.exists()
+        assert main(["verify", "--trials", "1"]) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "steerability.cli", "verify", "--trials", "1"],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,88 @@ class TestOptimalDirections:
             mu = steering.optimal_directions(rho, n)
             got = steering.steering_functional(rho, mu).value
             assert abs(got - best(rho).value) < 1e-9
+
+
+def _reference_equalized_frame(M, k, visited):
+    """The 80-step bisection on numpy scalars that steering._equalized_frame must
+    reproduce bit for bit; appends every angle it takes cos and sin of to visited."""
+    w, W = np.linalg.eigh(M)
+    W = W[:, ::-1][:, :k]
+    D = W.T @ M @ W
+    V = W.copy()
+    mean = np.trace(D) / k
+    for _ in range(k - 1):
+        d = np.diag(D)
+        hi = int(np.argmax(d))
+        lo = int(np.argmin(d))
+        if d[hi] - d[lo] <= 1e-15:
+            break
+
+        def pinned(theta):
+            visited.append(theta)
+            c, s = np.cos(theta), np.sin(theta)
+            return c * c * D[hi, hi] + s * s * D[lo, lo] + 2 * c * s * D[hi, lo] - mean
+
+        a, b = 0.0, np.pi / 2
+        for _ in range(80):
+            mid = (a + b) / 2
+            if pinned(mid) > 0:
+                a = mid
+            else:
+                b = mid
+        theta = (a + b) / 2
+        visited.append(theta)
+        c, s = np.cos(theta), np.sin(theta)
+        G = np.eye(k)
+        G[hi, hi] = c
+        G[lo, lo] = c
+        G[hi, lo] = -s
+        G[lo, hi] = s
+        D = G.T @ D @ G
+        V = V @ G
+    return V
+
+
+def _correlation_frames(count):
+    """T^t T for the correlation matrices T of count random states."""
+    T = states.to_bloch(checks._draws(47, range(count))).T
+    return np.swapaxes(T, -2, -1) @ T
+
+
+class TestEqualizedFrame:
+    def test_math_trig_rounds_like_numpy_scalars(self):
+        # the bisection evaluates math.cos/math.sin where it evaluated np.cos/np.sin
+        # on numpy scalars; the two must agree on uniform angles and on every
+        # angle the bisection visits
+        visited = []
+        for M in _correlation_frames(500):
+            for k in (2, 3):
+                _reference_equalized_frame(M, k, visited)
+        uniform = np.random.default_rng(48).uniform(0.0, np.pi / 2, 200_000).tolist()
+        for angles in (uniform, visited):
+            assert [math.cos(x) for x in angles] == [float(np.cos(x)) for x in angles]
+            assert [math.sin(x) for x in angles] == [float(np.sin(x)) for x in angles]
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            np.zeros((3, 3)),
+            -np.eye(3),
+            np.outer([0.3, -0.5, 0.1], [0.2, 0.7, -0.4]),  # rank 1
+            np.diag([0.6, 0.6, 0.2]),  # two equal eigenvalues
+        ],
+        ids=["zero", "minus_identity", "rank_1", "two_equal"],
+    )
+    def test_degenerate_frames_match_the_reference(self, T):
+        for k in (2, 3):
+            got = steering._equalized_frame(T.T @ T, k)
+            assert got.tobytes() == _reference_equalized_frame(T.T @ T, k, []).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_frames_match_the_reference(self, k):
+        for M in _correlation_frames(2000):
+            got = steering._equalized_frame(M, k)
+            assert got.tobytes() == _reference_equalized_frame(M, k, []).tobytes()
 
 
 class TestBound:
