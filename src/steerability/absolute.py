@@ -97,7 +97,7 @@ def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
         "orbit": (square(f3) + 1.0) / 4.0,
     }
     spread = np.abs(np.array(list(purities.values())) - purity).max(axis=0)
-    if (i := first_failure(spread > BOUNDARY_TOL)) is not None:
+    if (i := first_failure(spread <= BOUNDARY_TOL)) is not None:
         raise InternalInconsistency(
             "criteria disagree: "
             + ", ".join(f"{k}={np.asarray(p)[i]:.15g}" for k, p in purities.items())
@@ -147,7 +147,7 @@ def reduced_pair_verdict(psi: np.ndarray) -> dict[str, AbsoluteVerdict]:
         verdict = decide_aus3(sigma)
         ell = states.single_qubit_bloch_norm(psi, lone)
         expected = 1.0 + 2.0 * ell**2
-        if abs(verdict.f3_global_max**2 - expected) > 1e-9:
+        if not abs(verdict.f3_global_max**2 - expected) <= 1e-9:
             raise InternalInconsistency(
                 f"pair {pair}: best^2 = {verdict.f3_global_max**2:.15g}, "
                 f"expected 1 + 2 l^2 = {expected:.15g}"

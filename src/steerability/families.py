@@ -42,7 +42,7 @@ class ScanResult:
 def _weights(family: str, w) -> np.ndarray:
     """w as a (..., 1, 1) float array, checked to lie in [0, 1]; the first bad entry is named."""
     arr = np.asarray(w, dtype=float)
-    if (i := first_failure(~((0.0 <= arr) & (arr <= 1.0)))) is not None:
+    if (i := first_failure((0.0 <= arr) & (arr <= 1.0))) is not None:
         raise OutOfRange(f"{family} weight must lie in [0, 1], got {arr[i]}")
     return arr[..., None, None]
 
@@ -68,13 +68,15 @@ def gisin(lam, theta: float) -> np.ndarray:
 def x_state(v1: float, v2: float, v3: float, v4: float, v5: float, v6: float) -> np.ndarray:
     """Diagonal weights v1..v4 with anti-diagonal coherences v5 (00/11) and v6 (01/10)."""
     diag = np.array([v1, v2, v3, v4], dtype=float)
-    if np.any(diag < 0.0):
-        raise OutOfRange("diagonal weights must be nonnegative")
-    if abs(diag.sum() - 1.0) > 1e-10:
+    if not np.all(diag >= 0.0):
+        raise OutOfRange(f"diagonal weights must be nonnegative, got {diag}")
+    if not abs(diag.sum() - 1.0) <= 1e-10:
         raise OutOfRange(f"diagonal weights must sum to 1, got {diag.sum():.12g}")
-    if v5**2 > v1 * v4 + 1e-15:
+    if not (abs(v5) <= 1.0 and abs(v6) <= 1.0):  # before squaring, which could overflow
+        raise OutOfRange(f"need |v5|, |v6| <= 1, got v5 = {v5}, v6 = {v6}")
+    if not v5**2 <= v1 * v4 + 1e-15:
         raise OutOfRange(f"need v5^2 <= v1 v4, got {v5**2:.12g} > {v1 * v4:.12g}")
-    if v6**2 > v2 * v3 + 1e-15:
+    if not v6**2 <= v2 * v3 + 1e-15:
         raise OutOfRange(f"need v6^2 <= v2 v3, got {v6**2:.12g} > {v2 * v3:.12g}")
     M = np.diag(diag).astype(complex)
     M[0, 3] = M[3, 0] = v5

@@ -39,9 +39,10 @@ def square(x):
     return scalar_or_array(np.float_power(x, 2.0))
 
 
-def first_failure(bad) -> tuple[int, ...] | None:
-    """Index of the first state where the mask bad is set, () for a single state; else None."""
-    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+def first_failure(ok) -> tuple[int, ...] | None:
+    """Index of the first state where the condition ok is not True, () for a single state;
+    None when it holds everywhere.  A comparison with NaN is False, so NaN fails every check."""
+    return None if ok.all() else tuple(np.argwhere(~ok)[0].tolist())
 
 
 def at_state(i: tuple[int, ...]) -> str:
@@ -58,8 +59,9 @@ def hermitian_eigensystem(A: np.ndarray) -> EigenSystem4:
     A = np.asarray(A, dtype=complex)
     if A.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {A.shape}")
-    dev = np.abs(A - np.swapaxes(A.conj(), -2, -1)).max(axis=(-2, -1))
-    if (i := first_failure(dev > HERM_TOL)) is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
+        dev = np.abs(A - np.swapaxes(A.conj(), -2, -1)).max(axis=(-2, -1))
+    if (i := first_failure(dev <= HERM_TOL)) is not None:
         raise NotHermitian(f"max |A - A^dagger| = {dev[i]:.3e} exceeds {HERM_TOL:.1e}{at_state(i)}")
     try:
         w, v = np.linalg.eigh(A)

@@ -75,8 +75,10 @@ def validate(M: np.ndarray) -> np.ndarray:
 
     Hermiticity and unit trace are required within 1e-10.  Eigenvalues in
     [-1e-10, 0) are treated as round-off: they are clamped to zero and the
-    state is renormalized.  Anything more negative raises NotPositive.  In a
-    stack, the first failing state is named by its index.
+    state is renormalized.  Anything more negative raises NotPositive, as does an
+    entry beyond 2 in magnitude (a state's lie in the unit disc), checked before
+    the eigensolve, which may not converge on it.  In a stack, the first failing
+    state is named by its index.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-2:] != (4, 4):
@@ -84,15 +86,20 @@ def validate(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     H = np.swapaxes(M.conj(), -2, -1)
-    dev = np.abs(M - H).max(axis=(-2, -1))
-    if (i := first_failure(dev > HERM_TOL)) is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
+        dev = np.abs(M - H).max(axis=(-2, -1))
+        tr = np.trace(M, axis1=-2, axis2=-1)
+        mean = (M + H) / 2  # an overflowing entry fails the check on its magnitude below
+    if (i := first_failure(dev <= HERM_TOL)) is not None:
         raise NotHermitian(f"max |M - M^dagger| = {dev[i]:.3e} exceeds {HERM_TOL:.1e}{at_state(i)}")
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    if (i := first_failure(np.abs(tr - 1.0) > 1e-10)) is not None:
+    if (i := first_failure(np.abs(tr - 1.0) <= 1e-10)) is not None:
         raise NotUnitTrace(f"trace = {tr[i]:.12g}, expected 1{at_state(i)}")
-    sys = hermitian_eigensystem((M + H) / 2)
+    peak = np.abs(mean).max(axis=(-2, -1))
+    if (i := first_failure(peak <= 2.0)) is not None:
+        raise NotPositive(f"entry of magnitude {peak[i]:.3e} exceeds 2{at_state(i)}")
+    sys = hermitian_eigensystem(mean)
     w = sys.eigenvalues
-    if (i := first_failure(w[..., -1] < -EIG_CLAMP_TOL)) is not None:
+    if (i := first_failure(w[..., -1] >= -EIG_CLAMP_TOL)) is not None:
         raise NotPositive(f"eigenvalue {w[i][-1]:.3e} below -{EIG_CLAMP_TOL:.1e}{at_state(i)}")
     clamp = w[..., -1] < 0.0
     if clamp.any():
@@ -145,7 +152,7 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
     w = hermitian_eigensystem(rho).eigenvalues
     purity = np.sum(w**2, axis=-1)
     frob = np.asarray(square(frobenius_norm(rho)))
-    if (i := first_failure(np.abs(purity - frob) > 1e-10)) is not None:
+    if (i := first_failure(np.abs(purity - frob) <= 1e-10)) is not None:
         raise InternalInconsistency(
             f"spectral purity {purity[i]:.15g} vs Frobenius purity {frob[i]:.15g}{at_state(i)}"
         )
@@ -162,7 +169,7 @@ def _check_pure3(psi: np.ndarray) -> np.ndarray:
     if psi.shape != (8,):
         raise ValueError(f"expected 8 amplitudes, got shape {psi.shape}")
     norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > 1e-12:
+    if not abs(norm_sq - 1.0) <= 1e-12:
         raise ValueError(f"state vector norm^2 = {norm_sq:.15g}, expected 1")
     return psi
 

@@ -45,10 +45,10 @@ class MeasurementSetting:
         if n not in (2, 3):
             raise InvalidSetting(f"n must be 2 or 3, got {n}")
         norms = np.abs(np.linalg.norm(u, axis=-1) - 1.0).max(axis=-1)
-        if (i := first_failure(~(norms <= _DIR_TOL))) is not None:  # NaN counts as bad
+        if (i := first_failure(norms <= _DIR_TOL)) is not None:
             raise InvalidSetting(f"u directions must be unit vectors{at_state(i)}")
         gram = np.abs(v @ np.swapaxes(v, -2, -1) - np.eye(n)).max(axis=(-2, -1))
-        if (i := first_failure(~(gram <= _DIR_TOL))) is not None:
+        if (i := first_failure(gram <= _DIR_TOL)) is not None:
             raise InvalidSetting(f"v directions must be orthonormal{at_state(i)}")
 
     @property
@@ -83,7 +83,7 @@ def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.nd
     T = states.to_bloch(rho).T
     bloch = np.einsum("...ij,...jk,...ik->...", mu.u, T, mu.v) / np.sqrt(mu.n)
     direct = np.real(np.trace(steering_operator(mu) @ rho, axis1=-2, axis2=-1))
-    if (i := first_failure(np.abs(bloch - direct) > 1e-10)) is not None:
+    if (i := first_failure(np.abs(bloch - direct) <= 1e-10)) is not None:
         raise InternalInconsistency(
             f"Bloch evaluation {bloch[i]:.15g} vs trace evaluation {direct[i]:.15g}{at_state(i)}"
         )

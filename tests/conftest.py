@@ -2,6 +2,11 @@ import numpy as np
 
 from steerability import steering
 
+# Hermitian with unit trace, but LAPACK's eigensolve does not converge on it.
+UNCONVERGED = np.zeros((4, 4), dtype=complex)
+UNCONVERGED[0, 3], UNCONVERGED[3, 0], UNCONVERGED[1, 2], UNCONVERGED[2, 1] = 1e250j, -1e250j, 1j, -1j
+UNCONVERGED[2, 3] = UNCONVERGED[3, 2] = UNCONVERGED[3, 3] = 1.0
+
 
 def random_settings(rng, count, n=None):
     """count valid settings drawn one at a time from rng, as {n: (draw positions, setting stack)}.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNCONVERGED
 from steerability import absolute, checks, cli, families, states
 from steerability.cli import main
 
@@ -280,10 +281,35 @@ _SCAN = ["scan", "--family", "werner", "--from", "0", "--to", "1", "--step"]
                                   "--out", str(tmp / "missing" / "r.txt")], id="analyze-out-unwritable"),
         pytest.param(lambda tmp: _SCAN + ["0.5", "--out", str(tmp / "missing" / "c.csv")],
                      id="scan-out-unwritable"),
+        pytest.param(lambda tmp: _family(tmp, "werner", p=0.5, theta=0.3), id="werner-extra-parameter"),
+        pytest.param(lambda tmp: _family(tmp, "xstate", **_QUARTER, v5=0, v6=0, v7=0),
+                     id="xstate-extra-parameter"),
+        pytest.param(lambda tmp: ["scan", "--family", "xstate"] + _SCAN[3:] + ["0.5"], id="scan-xstate"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+_OFF_DIAGONAL = np.zeros((4, 4))
+_OFF_DIAGONAL[0, 1], _OFF_DIAGONAL[1, 0] = 1e308, -1e308
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param({"format": "family", "family": "xstate",
+                      "parameters": {**_QUARTER, "v5": 1e200, "v6": 0}}, id="xstate-overflowing-v5"),
+        pytest.param(matrix_record(np.diag([1e308, 1e308, -1e308, -1e308])), id="matrix-overflowing-trace"),
+        pytest.param(matrix_record(_OFF_DIAGONAL), id="matrix-overflowing-hermiticity"),
+        pytest.param(matrix_record(UNCONVERGED), id="matrix-eigensolve-unconverged"),
+    ],
+)
+def test_bad_state_exits_3_with_one_line(tmp_path, capsys, record):
+    assert main(["analyze", "--in", write_json(tmp_path / "state.json", record)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -301,6 +327,7 @@ def _fixed(n, element):
     return st.lists(element, min_size=n, max_size=n)
 
 
+_X_WEIGHTS = st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.5, 0, 0, 0.5), (0, 0.5, 0.5, 0), (1, 0, 0, 0)])
 _RECORDS = st.one_of(
     st.fixed_dictionaries(
         {"format": st.just("matrix"), "matrix": _fixed(4, _fixed(4, _fixed(2, _JSON_LEAF))) | _JSON}
@@ -314,6 +341,10 @@ _RECORDS = st.one_of(
          "parameters": st.dictionaries(st.sampled_from(["p", "lambda", "theta", "v1", "v5", "v6"]), _JSON_LEAF)
          | _JSON}
     ),
+    # all six keys an X state needs, often with weights that sum to 1, so x_state's checks all run
+    st.tuples(_X_WEIGHTS | _fixed(4, _JSON_LEAF), _fixed(2, st.floats())).map(lambda v: {
+        "format": "family", "family": "xstate",
+        "parameters": {f"v{k}": x for k, x in enumerate([*v[0], *v[1]], start=1)}}),
     _JSON,
 )
 

@@ -89,12 +89,19 @@ class TestXState:
             families.x_state(0.5, 0, 0, 0.5, 0.6, 0)
         with pytest.raises(errors.OutOfRange):
             families.x_state(0.25, 0.25, 0.25, 0.25, 0, 0.3)
+        # checked before squaring, so an overflowing coherence is out of range too
+        with pytest.raises(errors.OutOfRange):
+            families.x_state(0.25, 0.25, 0.25, 0.25, 1e200, 0)
+        with pytest.raises(errors.OutOfRange):
+            families.x_state(0.25, 0.25, 0.25, 0.25, 0, -1e200)
 
     def test_weight_constraints(self):
         with pytest.raises(errors.OutOfRange):
             families.x_state(0.5, 0.5, 0.5, 0.5, 0, 0)
         with pytest.raises(errors.OutOfRange):
             families.x_state(1.5, -0.5, 0, 0, 0, 0)
+        with pytest.raises(errors.OutOfRange):
+            families.x_state(0.5, float("nan"), 0.25, 0.25, 0, 0)
 
     def test_membership_matches_weight_formula(self):
         rng = np.random.default_rng(95)

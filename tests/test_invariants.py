@@ -1,10 +1,12 @@
-"""Invariants over generated states rho = G G^dagger / Tr(G G^dagger)."""
+"""Invariants over generated states rho = G G^dagger / Tr(G G^dagger), and validate's
+contract over generated finite matrices."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from steerability import absolute, sampling, states, steering, teleport
+from conftest import UNCONVERGED
+from steerability import absolute, errors, linalg, sampling, states, steering, teleport
 
 _ENTRIES = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
 
@@ -46,3 +48,33 @@ def test_f3_bounds_n(entries):
     n_value = teleport.teleportation_N(rho)
     assert f3 <= n_value + 1e-10
     assert n_value <= np.sqrt(3) * f3 + 1e-10
+
+
+@st.composite
+def _finite_matrices(draw):
+    """A complex 4x4 matrix with finite entries up to 1e308 in magnitude; some draws are
+    Hermitian, and some of those have diagonal (x, -x, t, 1 - t), so their trace is 1."""
+    m = np.array(draw(st.lists(st.floats(-1e308, 1e308), min_size=32, max_size=32))).reshape(2, 4, 4)
+    m = m[0] + 1j * m[1]
+    shape = draw(st.sampled_from(["any", "hermitian", "unit-trace"]))
+    if shape != "any":
+        m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    if shape == "unit-trace":
+        t = draw(st.floats(0.0, 1.0))
+        m[1, 1], m[2, 2], m[3, 3] = -m[0, 0], t, 1.0 - t
+    return m
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrix=_finite_matrices())
+@example(matrix=UNCONVERGED)
+@example(matrix=np.diag([1e308, 1e308, -1e308, -1e308]) + 0j)  # its trace overflows
+@example(matrix=np.diag([1e308, -1e308, 0.5, 0.5]) + 0j)  # unit trace; (M + M^dagger) / 2 overflows
+def test_validate_returns_a_state_or_names_the_broken_rule(matrix):
+    try:
+        rho = states.validate(matrix)
+    except (errors.NotHermitian, errors.NotUnitTrace, errors.NotPositive):
+        return
+    assert np.abs(rho - rho.conj().T).max() <= linalg.HERM_TOL
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho)[0] >= -states.EIG_CLAMP_TOL

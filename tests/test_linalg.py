@@ -37,6 +37,9 @@ def test_rejects_non_hermitian():
     A[0, 1] = 1.0
     with pytest.raises(errors.NotHermitian):
         linalg.hermitian_eigensystem(A)
+    A[0, 1], A[1, 0] = 1e308, -1e308  # A - A^dagger overflows to inf, without a warning
+    with pytest.raises(errors.NotHermitian, match="= inf exceeds"):
+        linalg.hermitian_eigensystem(A)
 
 
 def test_rejects_wrong_shape():

@@ -187,6 +187,10 @@ BAD_STATES = {
     "not-hermitian": (errors.NotHermitian, lambda rho: rho + np.triu(np.full((4, 4), 1e-6), 1)),
     "not-unit-trace": (errors.NotUnitTrace, lambda rho: 1.01 * rho),
     "not-positive": (errors.NotPositive, lambda rho: np.diag([1.5, -0.5, 0, 0]).astype(complex)),
+    # finite entries whose trace, or whose M - M^dagger, overflows
+    "overflowing-trace": (errors.NotUnitTrace, lambda rho: np.diag([1e308, 1e308, -1e308, -1e308]) + 0j),
+    "overflowing-hermiticity": (errors.NotHermitian, lambda rho: np.array(
+        [[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]], dtype=complex)),
 }
 
 
