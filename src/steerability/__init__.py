@@ -59,7 +59,7 @@ from .absolute import (
     frobenius_ball_check,
     reduced_pair_verdict,
 )
-from .teleport import AuxCriteria, aux_criteria, chsh_M, steer_implies_teleport_check, teleportation_N
+from .teleport import AuxCriteria, aux_criteria, steer_implies_teleport_check
 from .witness import WitnessOperator, activation_witness, steering_operator, steering_witness
 from .sampling import (
     SeededGenerator,

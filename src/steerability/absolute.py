@@ -77,12 +77,15 @@ def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
     picking a winner.  Membership is orbit_safe of the Frobenius purity.
     """
     rho = np.asarray(rho, dtype=complex)
+    return verdict_of(rho, hermitian_eigensystem(rho).eigenvalues, states.to_bloch(rho))
 
-    spectrum_lhs = _spectrum_lhs(hermitian_eigensystem(rho).eigenvalues)
+
+def verdict_of(rho: np.ndarray, w: np.ndarray, form: states.BlochForm) -> AbsoluteVerdict:
+    """decide_aus3 of rho from its descending eigenvalues w and its Bloch form, already computed."""
+    spectrum_lhs = _spectrum_lhs(w)
 
     purity = square(frobenius_norm(rho))
 
-    form = states.to_bloch(rho)
     bloch_sum = (
         np.sum(form.a**2, axis=-1) + np.sum(form.b**2, axis=-1) + np.sum(form.T**2, axis=(-2, -1))
     )

@@ -50,7 +50,7 @@ def four_criteria(n: int, seed: int) -> tuple[bool, float]:
 def steer_implies_teleport(n: int, seed: int) -> tuple[bool, float]:
     """F3 <= N on every draw; margin: worst F3 - N."""
     rhos = _draws(seed, range(n))
-    worst = float(np.max(steering.f3_max(rhos).value - teleport.teleportation_N(rhos)))
+    worst = float(np.max(steering.f3_max(rhos).value - teleport.aux_criteria(rhos).N))
     return bool(np.all(teleport.steer_implies_teleport_check(rhos))) and worst <= 1e-10, worst
 
 

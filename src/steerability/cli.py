@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NotHermitian, NotPositive, NotUnitTrace, OutOfRange
 from . import absolute, checks, families, sampling, states, steering, teleport, witness
+from .linalg import frobenius_norm, singular_values_3x3
 # The benchmark tracer (benchmarks/tracer.py, KEPT) reads the convexity
 # check's `members` list through this name.
 from .checks import convexity as _check_convexity
@@ -105,12 +106,13 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
 
 
 def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
+    # One Bloch form, one eigensystem and one SVD of T; every printed value derives from them.
     form = states.to_bloch(rho)
-    report = states.spectrum_report(rho)
-    f2 = steering.f2_max(rho)
-    f3 = steering.f3_max(rho)
-    verdict = absolute.decide_aus3(rho)
-    aux = teleport.aux_criteria(rho)
+    canonical = absolute.bell_diagonal_canonical(rho)
+    report = states.spectrum_of(rho, canonical.weights)
+    verdict = absolute.verdict_of(rho, canonical.weights, form)
+    aux = teleport.aux_of(singular_values_3x3(form.T))
+    f3 = steering.SteeringValue(frobenius_norm(form.T))  # f3_max
 
     lines = [f"input: {path}", f"format: {echo['format']}"]
     if echo["format"] == "family":
@@ -127,7 +129,7 @@ def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
     lines.append("spectrum:")
     lines.append(f"  eigenvalues: {_fmt_vec(report.eigenvalues)}")
     lines.append(f"  purity: {_fmt(report.purity)}")
-    lines.append(f"f2_max: {_fmt(f2.value)}")
+    lines.append(f"f2_max: {_fmt(np.sqrt(aux.M))}")  # = steering.f2_max, bit for bit
     lines.append(f"f3_max: {_fmt(f3.value)}")
     lines.append(f"f3_global_max: {_fmt(verdict.f3_global_max)}")
     lines.append(f"N: {_fmt(aux.N)}")
@@ -138,7 +140,7 @@ def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
     lines.append(f"  teleportation_useful: {str(aux.N > 1.0).lower()}")
     lines.append(f"  chsh_local: {str(aux.M <= 1.0).lower()}")
     if not verdict.in_aus3:
-        w = witness.activation_witness(rho)
+        w = witness.witness_of(rho, canonical)
         expectation = float(np.real(np.trace(w.matrix @ rho)))
         lines.append(f"witness_expectation: {_fmt(expectation)}")
     return lines

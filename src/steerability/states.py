@@ -149,7 +149,11 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
     disagreement beyond 1e-10 raises InternalInconsistency naming the state.
     """
     rho = np.asarray(rho, dtype=complex)
-    w = hermitian_eigensystem(rho).eigenvalues
+    return spectrum_of(rho, hermitian_eigensystem(rho).eigenvalues)
+
+
+def spectrum_of(rho: np.ndarray, w: np.ndarray) -> SpectrumReport:
+    """spectrum_report of rho from its descending eigenvalues w (..., 4), already computed."""
     purity = np.sum(w**2, axis=-1)
     frob = np.asarray(square(frobenius_norm(rho)))
     if (i := first_failure(np.abs(purity - frob) <= 1e-10)) is not None:
@@ -174,32 +178,24 @@ def _check_pure3(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+# Partial traces of a three-qubit tensor t[a, b, c] onto a qubit pair or one qubit.
+_PAIR_TRACES = {"AB": "abc,dec->abde", "BC": "abc,ade->bcde", "AC": "abc,dbe->acde"}
+_QUBIT_TRACES = {"A": "abc,dbc->ad", "B": "abc,adc->bd", "C": "abc,abd->cd"}
+
+
 def reduce_to_pair(psi: np.ndarray, keep: str) -> np.ndarray:
     """Partial trace of a pure three-qubit state onto qubit pair AB, BC or AC."""
-    psi = _check_pure3(psi)
-    t = psi.reshape(2, 2, 2)
-    if keep == "AB":
-        rho = np.einsum("abc,dec->abde", t, t.conj())
-    elif keep == "BC":
-        rho = np.einsum("abc,ade->bcde", t, t.conj())
-    elif keep == "AC":
-        rho = np.einsum("abc,dbe->acde", t, t.conj())
-    else:
+    t = _check_pure3(psi).reshape(2, 2, 2)
+    if keep not in _PAIR_TRACES:
         raise ValueError(f"keep must be 'AB', 'BC' or 'AC', got {keep!r}")
-    return validate(rho.reshape(4, 4))
+    return validate(np.einsum(_PAIR_TRACES[keep], t, t.conj()).reshape(4, 4))
 
 
 def single_qubit_bloch_norm(psi: np.ndarray, which: str) -> float:
     """Bloch-vector length of one marginal qubit of a pure three-qubit state."""
-    psi = _check_pure3(psi)
-    t = psi.reshape(2, 2, 2)
-    if which == "A":
-        rho1 = np.einsum("abc,dbc->ad", t, t.conj())
-    elif which == "B":
-        rho1 = np.einsum("abc,adc->bd", t, t.conj())
-    elif which == "C":
-        rho1 = np.einsum("abc,abd->cd", t, t.conj())
-    else:
+    t = _check_pure3(psi).reshape(2, 2, 2)
+    if which not in _QUBIT_TRACES:
         raise ValueError(f"which must be 'A', 'B' or 'C', got {which!r}")
+    rho1 = np.einsum(_QUBIT_TRACES[which], t, t.conj())
     vec = np.real(np.einsum("iab,ba->i", PAULI_1Q, rho1))
     return float(np.linalg.norm(vec))

@@ -30,19 +30,13 @@ class AuxCriteria:
 
 def aux_criteria(rho: np.ndarray) -> AuxCriteria:
     """N and M of a state or (..., 4, 4) stack from one singular-value decomposition of T."""
-    s = singular_values_3x3(states.to_bloch(rho).T)
+    return aux_of(singular_values_3x3(states.to_bloch(rho).T))
+
+
+def aux_of(s: np.ndarray) -> AuxCriteria:
+    """aux_criteria from the descending singular values s (..., 3) of T, already computed."""
     M = square(s[..., 0]) + square(s[..., 1])
     return AuxCriteria(N=scalar_or_array(np.sum(s, axis=-1)), M=M, u=s**2)
-
-
-def teleportation_N(rho: np.ndarray) -> float:
-    """Sum of the singular values of T; above 1 the state is useful for teleportation."""
-    return aux_criteria(rho).N
-
-
-def chsh_M(rho: np.ndarray) -> float:
-    """Sum of the two largest eigenvalues of T^t T; above 1 CHSH is violated."""
-    return aux_criteria(rho).M
 
 
 def steer_implies_teleport_check(rho: np.ndarray) -> bool | np.ndarray:
@@ -52,5 +46,5 @@ def steer_implies_teleport_check(rho: np.ndarray) -> bool | np.ndarray:
     steerability-to-teleportation implication.
     """
     f3 = steering.f3_max(rho).value
-    n = teleportation_N(rho)
+    n = aux_criteria(rho).N
     return scalar_or_array((f3 <= 1.0) | (n > 1.0))

@@ -44,7 +44,11 @@ def activation_witness(sigma: np.ndarray) -> WitnessOperator:
     decide_aus3), in which case no such operator exists.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    canonical = absolute.bell_diagonal_canonical(sigma)
+    return witness_of(sigma, absolute.bell_diagonal_canonical(sigma))
+
+
+def witness_of(sigma: np.ndarray, canonical: absolute.BellDiagonalState) -> WitnessOperator:
+    """activation_witness of sigma from its Bell-diagonal canonical form, already computed."""
     if absolute.frobenius_ball_check(sigma):
         best = absolute.f3_global_max(canonical.weights)
         raise NotActivatable(

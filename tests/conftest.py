@@ -1,6 +1,16 @@
+import warnings
+
 import numpy as np
 
 from steerability import steering
+
+# The hypothesis plugin imports this module when it reports a failing example, and the
+# import warns through mypy_extensions; with the "error" warning filter that warning
+# would replace the falsifying example with an INTERNALERROR. Importing it here once,
+# with the warning ignored, leaves the plugin a cached module.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # Hermitian with unit trace, but LAPACK's eigensolve does not converge on it.
 UNCONVERGED = np.zeros((4, 4), dtype=complex)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -137,6 +138,30 @@ class TestAnalyze:
         assert main(["analyze", "--in", f"{name}.json"]) == 0
         assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
 
+    @pytest.mark.parametrize("name, activatable", [("werner_safe", False), ("gisin_activatable", True)])
+    def test_one_computation_per_shared_input(self, name, activatable, monkeypatch, capsys):
+        # validate makes one 4x4 eigensolve and the report one more, which the witness
+        # reuses; the report's one SVD of T is one 3x3 eigvalsh.  The witness adds a Bloch
+        # form and a 3x3 eigh of the canonical state (optimal_directions).
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls[name, np.shape(a)[-1]] += 1
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(states, "to_bloch", counting("to_bloch", states.to_bloch))
+        monkeypatch.chdir(DATA / "analyze")
+        assert main(["analyze", "--in", f"{name}.json"]) == 0
+        assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
+        expected = {("eigh", 4): 2, ("eigvalsh", 3): 1, ("to_bloch", 4): 1}
+        if activatable:
+            expected.update({("to_bloch", 4): 2, ("eigh", 3): 1})
+        assert calls == expected
+
     def test_state_at_the_tolerance_edge(self, tmp_path, capsys):
         # the four purity routes straddle 1/2 + BOUNDARY_TOL by one ulp here
         path = write_json(
@@ -209,6 +234,10 @@ class TestSample:
 
     def test_small_sample_exits_2(self):
         assert main(["sample", "--samples", "10"]) == 2
+
+    def test_report_is_pinned(self, capsys):
+        assert main(["sample", "--samples", "20000", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (DATA / "sample_20000_seed_0.txt").read_text()
 
 
 class TestVerify:

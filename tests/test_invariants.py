@@ -1,12 +1,15 @@
 """Invariants over generated states rho = G G^dagger / Tr(G G^dagger), and validate's
 contract over generated finite matrices."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNCONVERGED
-from steerability import absolute, errors, linalg, sampling, states, steering, teleport
+from steerability import absolute, errors, families, linalg, sampling, states, steering, teleport, witness
 
 _ENTRIES = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
 
@@ -45,7 +48,7 @@ def test_bloch_round_trip(entries):
 def test_f3_bounds_n(entries):
     rho = _state(entries)
     f3 = steering.f3_max(rho).value
-    n_value = teleport.teleportation_N(rho)
+    n_value = teleport.aux_criteria(rho).N
     assert f3 <= n_value + 1e-10
     assert n_value <= np.sqrt(3) * f3 + 1e-10
 
@@ -78,3 +81,52 @@ def test_validate_returns_a_state_or_names_the_broken_rule(matrix):
     assert np.abs(rho - rho.conj().T).max() <= linalg.HERM_TOL
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho)[0] >= -states.EIG_CLAMP_TOL
+
+
+def _pure(psi):
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+
+# werner(0) is I/4; then a pure product state, an entangled pure (rank-1) state, and
+# (|00><00| + |11><11|) / 2, whose eigenvalues (1/2, 1/2, 0, 0) put it on the boundary.
+_EDGE_STATES = np.stack([
+    families.werner(0.0),
+    _pure(np.kron([1, 0], [1, 1])),
+    _pure([0, np.cos(0.3), np.sin(0.3), 0]),
+    np.diag([0.5, 0, 0, 0.5]).astype(complex),
+])
+
+
+def _assert_same_bits(core, wrapper):
+    for field in dataclasses.fields(wrapper):
+        a, b = getattr(core, field.name), getattr(wrapper, field.name)
+        assert type(a) is type(b), field.name
+        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cores_match_their_wrappers_bit_for_bit(seed):
+    """The cores `analyze` calls on its shared inputs give the public functions' bits."""
+    drawn = sampling.states_from_rng(sampling.SeededGenerator(seed).rng(), size=6)
+    rhos = states.validate(np.concatenate([drawn, _EDGE_STATES]))
+    for rho in [rhos, *rhos]:
+        canonical = absolute.bell_diagonal_canonical(rho)
+        form = states.to_bloch(rho)
+        _assert_same_bits(states.spectrum_of(rho, canonical.weights), states.spectrum_report(rho))
+        _assert_same_bits(absolute.verdict_of(rho, canonical.weights, form), absolute.decide_aus3(rho))
+        aux = teleport.aux_of(linalg.singular_values_3x3(form.T))
+        _assert_same_bits(aux, teleport.aux_criteria(rho))
+        assert np.asarray(np.sqrt(aux.M)).tobytes() == np.asarray(steering.f2_max(rho).value).tobytes()
+    for rho in rhos:
+        canonical = absolute.bell_diagonal_canonical(rho)
+        if absolute.decide_aus3(rho).in_aus3:
+            with pytest.raises(errors.NotActivatable):
+                witness.witness_of(rho, canonical)
+            continue
+        core, wrapper = witness.witness_of(rho, canonical), witness.activation_witness(rho)
+        for name in ("matrix", "unitary"):
+            assert getattr(core, name).tobytes() == getattr(wrapper, name).tobytes()
+        _assert_same_bits(core.setting, wrapper.setting)

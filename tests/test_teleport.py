@@ -13,28 +13,28 @@ def werner(p):
 
 class TestTeleportationN:
     def test_singlet(self):
-        assert teleport.teleportation_N(SINGLET) == pytest.approx(3.0, abs=1e-12)
+        assert teleport.aux_criteria(SINGLET).N == pytest.approx(3.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert teleport.teleportation_N(MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert teleport.aux_criteria(MIXED).N == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_threshold(self):
         # N = 3p, so usefulness kicks in just above p = 1/3
-        assert teleport.teleportation_N(werner(0.4)) == pytest.approx(1.2, abs=1e-12)
-        assert teleport.teleportation_N(werner(0.3)) < 1.0
-        assert teleport.teleportation_N(werner(0.35)) > 1.0
+        assert teleport.aux_criteria(werner(0.4)).N == pytest.approx(1.2, abs=1e-12)
+        assert teleport.aux_criteria(werner(0.3)).N < 1.0
+        assert teleport.aux_criteria(werner(0.35)).N > 1.0
 
 
 class TestChshM:
     def test_singlet(self):
-        assert teleport.chsh_M(SINGLET) == pytest.approx(2.0, abs=1e-12)
+        assert teleport.aux_criteria(SINGLET).M == pytest.approx(2.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert teleport.chsh_M(MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert teleport.aux_criteria(MIXED).M == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_violation(self):
-        assert teleport.chsh_M(werner(0.75)) == pytest.approx(1.125, abs=1e-12)
-        assert teleport.chsh_M(werner(0.75)) > 1.0
+        assert teleport.aux_criteria(werner(0.75)).M == pytest.approx(1.125, abs=1e-12)
+        assert teleport.aux_criteria(werner(0.75)).M > 1.0
 
 
 class TestImplication:
@@ -43,7 +43,7 @@ class TestImplication:
         assert teleport.steer_implies_teleport_check(MIXED)
         rho = werner(0.6)
         assert steering.f3_max(rho).value > 1.0
-        assert teleport.teleportation_N(rho) == pytest.approx(1.8, abs=1e-12)
+        assert teleport.aux_criteria(rho).N == pytest.approx(1.8, abs=1e-12)
         assert teleport.steer_implies_teleport_check(rho)
 
 
