@@ -28,8 +28,8 @@ for name, rho in CASES:
     ball = sb.frobenius_ball_check(rho)
     as_given = sb.f3_max(rho)
     print(f"\n{name}")
-    print(f"  F3 with the best fixed measurements : {as_given.value:.6f}"
-          f"  -> steerable as given: {as_given.violated}")
+    print(f"  F3 with the best fixed measurements : {as_given:.6f}"
+          f"  -> steerable as given: {as_given > 1}")
     print(f"  best F3 over the whole unitary orbit: {verdict.f3_global_max:.6f}")
     print(f"  purity                              : {verdict.purity:.6f} (threshold 1/2)")
     print(f"  |a|^2 + |b|^2 + ||T||^2             : {verdict.bloch_sum:.6f} (threshold 1)")

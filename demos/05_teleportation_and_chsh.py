@@ -17,8 +17,8 @@ print(f"{'p':>6} {'M':>8} {'F2':>8} {'F3':>8} {'N':>8}"
 for p in np.arange(0.0, 1.0 + 1e-9, 0.1):
     rho = sb.werner(p)
     aux = sb.aux_criteria(rho)
-    f2 = sb.f2_max(rho).value
-    f3 = sb.f3_max(rho).value
+    f2 = sb.f2_max(rho)
+    f3 = sb.f3_max(rho)
     print(f"{p:6.2f} {aux.M:8.4f} {f2:8.4f} {f3:8.4f} {aux.N:8.4f}"
           f"  {str(aux.M > 1):>14}  {str(f3 > 1):>11}  {str(aux.N > 1):>15}")
 

@@ -43,7 +43,6 @@ from .states import (
 from .steering import (
     JM_BOUND,
     MeasurementSetting,
-    SteeringValue,
     f2_max,
     f3_max,
     jm_bound_check,

@@ -27,12 +27,13 @@ def maximality(n: int, seed: int) -> tuple[bool, float]:
     grows with the square of n.
     """
     rhos = _draws(seed, range(0, 2 * n, 2))
-    bound = absolute.decide_aus3(rhos).f3_global_max
+    canonical = absolute.bell_diagonal_canonical(rhos)
+    bound = absolute.verdict_of(rhos, canonical.weights, states.to_bloch(rhos)).f3_global_max
     sup = np.array([
         sampling.empirical_f3_sup(rho, n, sampling.SeededGenerator(seed, 2 * k + 1))
         for k, rho in enumerate(rhos)
     ])
-    attained = steering.f3_max(absolute.bell_diagonal_canonical(rhos).matrix).value
+    attained = steering.f3_max(canonical.matrix)
     worst = float(np.max(np.maximum(sup - bound, np.abs(attained - bound))))
     return worst <= 1e-9, worst
 
@@ -50,7 +51,7 @@ def four_criteria(n: int, seed: int) -> tuple[bool, float]:
 def steer_implies_teleport(n: int, seed: int) -> tuple[bool, float]:
     """F3 <= N on every draw; margin: worst F3 - N."""
     rhos = _draws(seed, range(n))
-    worst = float(np.max(steering.f3_max(rhos).value - teleport.aux_criteria(rhos).N))
+    worst = float(np.max(steering.f3_max(rhos) - teleport.aux_criteria(rhos).N))
     return bool(np.all(teleport.steer_implies_teleport_check(rhos))) and worst <= 1e-10, worst
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import InternalInconsistency, NotHermitian, NotPositive, NotUnitTrace, OutOfRange
-from . import absolute, checks, families, sampling, states, steering, teleport, witness
+from . import absolute, checks, families, sampling, states, teleport, witness
 from .linalg import frobenius_norm, singular_values_3x3
 # The benchmark tracer (benchmarks/tracer.py, KEPT) reads the convexity
 # check's `members` list through this name.
@@ -49,12 +49,15 @@ def _fmt_vec(v) -> str:
 
 
 def _numbers(value, shape: tuple, message: str) -> np.ndarray:
-    """value as a float array of the given shape with finite entries; else StateFileError."""
+    """value as a float array of the given shape whose entries are finite JSON numbers (int or
+    float); else StateFileError.  float() also takes true and "0.5", so each type is checked."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise StateFileError(message) from None
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
+    if arr.shape != shape or not np.all(np.isfinite(arr)) or not all(
+        type(x) in (int, float) for x in np.asarray(value, dtype=object).flat
+    ):
         raise StateFileError(message)
     return arr
 
@@ -62,12 +65,14 @@ def _numbers(value, shape: tuple, message: str) -> np.ndarray:
 def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
     """Parse a JSON state file; returns (state, echo of the input record)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StateFileError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise StateFileError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "format" not in data:
         raise StateFileError("state file must be a JSON object with a 'format' tag")
     allowed = {
@@ -112,7 +117,7 @@ def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
     report = states.spectrum_of(rho, canonical.weights)
     verdict = absolute.verdict_of(rho, canonical.weights, form)
     aux = teleport.aux_of(singular_values_3x3(form.T))
-    f3 = steering.SteeringValue(frobenius_norm(form.T))  # f3_max
+    f3 = frobenius_norm(form.T)  # = steering.f3_max
 
     lines = [f"input: {path}", f"format: {echo['format']}"]
     if echo["format"] == "family":
@@ -130,12 +135,12 @@ def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
     lines.append(f"  eigenvalues: {_fmt_vec(report.eigenvalues)}")
     lines.append(f"  purity: {_fmt(report.purity)}")
     lines.append(f"f2_max: {_fmt(np.sqrt(aux.M))}")  # = steering.f2_max, bit for bit
-    lines.append(f"f3_max: {_fmt(f3.value)}")
+    lines.append(f"f3_max: {_fmt(f3)}")
     lines.append(f"f3_global_max: {_fmt(verdict.f3_global_max)}")
     lines.append(f"N: {_fmt(aux.N)}")
     lines.append(f"M: {_fmt(aux.M)}")
     lines.append("verdicts:")
-    lines.append(f"  unsteerable_as_given: {str(not f3.violated).lower()}")
+    lines.append(f"  unsteerable_as_given: {str(f3 <= 1.0).lower()}")
     lines.append(f"  in_aus3: {str(verdict.in_aus3).lower()}")
     lines.append(f"  teleportation_useful: {str(aux.N > 1.0).lower()}")
     lines.append(f"  chsh_local: {str(aux.M <= 1.0).lower()}")

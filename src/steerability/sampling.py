@@ -73,7 +73,7 @@ def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rho = np.asarray(rho, dtype=complex)
-    best = steering.f3_max(rho).value
+    best = steering.f3_max(rho)
     rng = g.rng()
     chunk = 4096
     done = 0
@@ -81,7 +81,7 @@ def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
         count = min(chunk, trials - done)
         U = haar_from_rng(rng, size=count)
         conjugated = U @ rho @ np.swapaxes(U.conj(), -2, -1)
-        best = max(best, float(np.max(steering.f3_max(conjugated).value)))
+        best = max(best, float(np.max(steering.f3_max(conjugated))))
         done += count
     return best
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidSetting
-from .linalg import at_state, first_failure, frobenius_norm, scalar_or_array, singular_values_3x3, square
-from . import states
+from .linalg import at_state, first_failure, frobenius_norm, scalar_or_array
+from . import states, teleport
 
 _DIR_TOL = 1e-10
 # Joint-measurability ceiling: three dichotomic qubit observables become
@@ -56,27 +56,16 @@ class MeasurementSetting:
         return self.u.shape[-2]
 
 
-@dataclass(frozen=True)
-class SteeringValue:
-    """Nonnegative functional value (an array for a stack); the threshold is exactly 1."""
-
-    value: float | np.ndarray
-
-    @property
-    def violated(self) -> bool:
-        return self.value > 1.0
-
-
 def steering_operator(mu: MeasurementSetting) -> np.ndarray:
     """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s), so Tr(S rho) is the signed functional;
     (..., 4, 4) for a stack of settings."""
     return np.einsum("...ij,...ik,jkab->...ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
 
 
-def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.ndarray:
-    """Signed (pre-absolute-value) functional, cross-checked two ways.
+def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.ndarray:
+    """Evaluate the functional for explicit directions, broadcasting state and setting stacks.
 
-    The Bloch-level sum u_i^t T v_i must match the direct operator trace;
+    The signed Bloch-level sum u_i^t T v_i must match the direct operator trace;
     a mismatch beyond 1e-10 means a convention bug somewhere.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -87,29 +76,23 @@ def _signed_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.nd
         raise InternalInconsistency(
             f"Bloch evaluation {bloch[i]:.15g} vs trace evaluation {direct[i]:.15g}{at_state(i)}"
         )
-    return scalar_or_array(bloch)
+    return abs(scalar_or_array(bloch))
 
 
-def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> SteeringValue:
-    """Evaluate the functional for explicit directions, broadcasting state and setting stacks."""
-    return SteeringValue(abs(_signed_functional(rho, mu)))
-
-
-def f3_max(rho: np.ndarray) -> SteeringValue:
+def f3_max(rho: np.ndarray) -> float | np.ndarray:
     """Best three-setting value of a state or (..., 4, 4) stack: ||T||_F."""
-    return SteeringValue(frobenius_norm(states.to_bloch(rho).T))
+    return frobenius_norm(states.to_bloch(rho).T)
 
 
-def f2_max(rho: np.ndarray) -> SteeringValue:
-    """Best two-setting value of a state or stack: sqrt of the two largest eigenvalues of T^t T."""
-    s = singular_values_3x3(states.to_bloch(rho).T)
-    return SteeringValue(scalar_or_array(np.sqrt(square(s[..., 0]) + square(s[..., 1]))))
+def f2_max(rho: np.ndarray) -> float | np.ndarray:
+    """Best two-setting value of a state or stack: sqrt(M) = sqrt(s1^2 + s2^2), with M the
+    CHSH quantity of teleport.aux_criteria."""
+    return scalar_or_array(np.sqrt(teleport.aux_criteria(rho).M))
 
 
-def jm_bound_check(value: SteeringValue | float | np.ndarray) -> bool | np.ndarray:
+def jm_bound_check(value: float | np.ndarray) -> bool | np.ndarray:
     """True where the value respects the sqrt(3) joint-measurability ceiling."""
-    x = value.value if isinstance(value, SteeringValue) else value
-    return scalar_or_array(np.asarray(x, dtype=float) <= JM_BOUND + 1e-9)
+    return scalar_or_array(np.asarray(value, dtype=float) <= JM_BOUND + 1e-9)
 
 
 def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
@@ -178,9 +161,8 @@ def optimal_directions(rho: np.ndarray, n: int) -> MeasurementSetting:
     if np.all(lengths < 1e-12):
         frame = np.eye(3)[:n]
         return MeasurementSetting(u=frame, v=frame)
-    u = np.empty_like(Tv)
-    for i, ell in enumerate(lengths):
-        # |T v_i| are equal by construction, so a degenerate row only occurs
-        # alongside an (all-degenerate) zero restriction handled above.
-        u[i] = Tv[i] / ell if ell >= 1e-12 else np.eye(3)[i]
+    # |T v_i| are equal by construction, so a degenerate row only occurs alongside
+    # an (all-degenerate) zero restriction handled above; mask it all the same.
+    ok = lengths >= 1e-12
+    u = np.where(ok[:, None], Tv, np.eye(3)[:n]) / np.where(ok, lengths, 1.0)[:, None]
     return MeasurementSetting(u=u, v=v)

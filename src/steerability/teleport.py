@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import scalar_or_array, singular_values_3x3, square
-from . import states, steering
+from .linalg import frobenius_norm, scalar_or_array, singular_values_3x3, square
+from . import states
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ def steer_implies_teleport_check(rho: np.ndarray) -> bool | np.ndarray:
     This should never return False; it exists as a checkable witness of the
     steerability-to-teleportation implication.
     """
-    f3 = steering.f3_max(rho).value
-    n = aux_criteria(rho).N
+    T = states.to_bloch(rho).T
+    f3 = frobenius_norm(T)  # steering.f3_max
+    n = aux_of(singular_values_3x3(T)).N
     return scalar_or_array((f3 <= 1.0) | (n > 1.0))

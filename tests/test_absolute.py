@@ -77,7 +77,7 @@ class TestCanonical:
         phi_plus = np.zeros(4, dtype=complex)
         phi_plus[0] = phi_plus[3] = 1 / np.sqrt(2)
         assert np.allclose(can.matrix, np.outer(phi_plus, phi_plus.conj()), atol=1e-12)
-        assert steering.f3_max(can.matrix).value == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert steering.f3_max(can.matrix) == pytest.approx(np.sqrt(3), abs=1e-12)
 
     def test_maximally_mixed_fixed_point(self):
         can = absolute.bell_diagonal_canonical(MIXED)
@@ -87,7 +87,7 @@ class TestCanonical:
     def test_gisin_canonical_value(self):
         rho = families.gisin(0.8, np.pi / 4)
         can = absolute.bell_diagonal_canonical(rho)
-        assert steering.f3_max(can.matrix).value == pytest.approx(np.sqrt(1.64), abs=1e-12)
+        assert steering.f3_max(can.matrix) == pytest.approx(np.sqrt(1.64), abs=1e-12)
 
     def test_canonical_contracts(self):
         rhos = checks._draws(57, range(300))
@@ -98,7 +98,7 @@ class TestCanonical:
         T = states.to_bloch(can.matrix).T
         assert np.max(np.abs(T - T * np.eye(3))) < 1e-10
         bound = absolute.f3_global_max(can.weights)
-        assert np.max(np.abs(steering.f3_max(can.matrix).value - bound)) < 1e-9
+        assert np.max(np.abs(steering.f3_max(can.matrix) - bound)) < 1e-9
 
     def test_orbit_never_beats_canonical(self):
         for k in range(100):

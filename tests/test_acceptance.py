@@ -61,7 +61,7 @@ def test_criterion_02_gisin_threshold(tmp_path):
 
 
 def test_criterion_03_quantum_maximum():
-    measured = steering.f3_max(SINGLET).value
+    measured = steering.f3_max(SINGLET)
     orbit = absolute.f3_global_max(states.spectrum_report(SINGLET).eigenvalues)
     assert abs(measured - 1.7320508076) < 1e-9 + 1e-10
     assert abs(measured - np.sqrt(3)) < 1e-9

@@ -132,8 +132,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", sorted(f.stem for f in (DATA / "analyze").glob("*.json")))
     def test_report_is_pinned(self, name, monkeypatch, capsys):
-        # eight of the twelve states are activatable, so their witness_expectation
-        # lines are pinned too
+        # eight of the thirteen states are activatable, so their witness_expectation
+        # lines are pinned too; bloch_on_every_threshold has F3 = N = M = 1 exactly, so
+        # its verdicts pin each threshold's strict or non-strict side
         monkeypatch.chdir(DATA / "analyze")
         assert main(["analyze", "--in", f"{name}.json"]) == 0
         assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
@@ -283,7 +284,14 @@ def _family(tmp_path, family, **parameters):
     return ["analyze", "--in", write_json(tmp_path / "state.json", record)]
 
 
+def _raw(tmp_path, content: bytes):
+    (tmp_path / "raw.json").write_bytes(content)
+    return ["analyze", "--in", str(tmp_path / "raw.json")]
+
+
 _QUARTER = {f"v{k}": 0.25 for k in range(1, 5)}
+_STRING_ENTRY = matrix_record(np.eye(4) / 4)
+_STRING_ENTRY["matrix"][0][0][0] = "0.25"
 _WERNER = {"format": "family", "family": "werner", "parameters": {"p": 0.5}}
 _SCAN = ["scan", "--family", "werner", "--from", "0", "--to", "1", "--step"]
 
@@ -293,6 +301,12 @@ _SCAN = ["scan", "--family", "werner", "--from", "0", "--to", "1", "--step"]
     [
         pytest.param(lambda tmp: _family(tmp, "werner", p="abc"), id="parameter-abc"),
         pytest.param(lambda tmp: _family(tmp, "werner", p=None), id="parameter-null"),
+        pytest.param(lambda tmp: _family(tmp, "werner", p="0.5"), id="parameter-numeric-string"),
+        pytest.param(lambda tmp: _family(tmp, "werner", p=True), id="parameter-true"),
+        pytest.param(lambda tmp: ["analyze", "--in", write_json(tmp / "m.json", _STRING_ENTRY)],
+                     id="matrix-numeric-string"),
+        pytest.param(lambda tmp: _raw(tmp, b"\xff\xfe{}"), id="not-utf-8"),
+        pytest.param(lambda tmp: _raw(tmp, b"[" * 100_000), id="nested-too-deeply"),
         pytest.param(lambda tmp: _family(tmp, "xstate", **_QUARTER, v5=float("nan"), v6=0),
                      id="xstate-nan"),
         pytest.param(lambda tmp: ["analyze", "--in", write_json(

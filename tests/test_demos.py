@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the library in src/ and prints its pinned output."""
+"""Every demo script runs to completion against the library in src/ and prints its pinned output;
+every python block of the README runs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PINNED = Path(__file__).parent / "data" / "demos"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_all_seven_demos_are_found():

@@ -139,8 +139,8 @@ def test_stack_and_scalar_paths_agree_exactly():
     norms = linalg.frobenius_norm(forms.T)
     verdicts = absolute.decide_aus3(rhos)
     canonical = absolute.bell_diagonal_canonical(rhos)
-    f2 = steering.f2_max(rhos).value
-    f3 = steering.f3_max(rhos).value
+    f2 = steering.f2_max(rhos)
+    f3 = steering.f3_max(rhos)
     aux = teleport.aux_criteria(rhos)
     f3_orbit = absolute.f3_global_max(canonical.weights)
     implication = teleport.steer_implies_teleport_check(rhos)
@@ -154,7 +154,7 @@ def test_stack_and_scalar_paths_agree_exactly():
         assert np.array_equal(forms.a[k], form.a)
         assert np.array_equal(forms.b[k], form.b)
         assert np.array_equal(forms.T[k], form.T)
-        assert norms[k] == linalg.frobenius_norm(form.T) == f3[k] == steering.f3_max(rho).value
+        assert norms[k] == linalg.frobenius_norm(form.T) == f3[k] == steering.f3_max(rho)
         verdict = absolute.decide_aus3(rho)
         for field in dataclasses.fields(verdict):
             assert getattr(verdicts, field.name)[k] == getattr(verdict, field.name), field.name
@@ -163,7 +163,7 @@ def test_stack_and_scalar_paths_agree_exactly():
         assert np.array_equal(canonical.unitary[k], single.unitary)
         assert np.array_equal(canonical.matrix[k], single.matrix)
         assert f3_orbit[k] == absolute.f3_global_max(single.weights)
-        assert f2[k] == steering.f2_max(rho).value
+        assert f2[k] == steering.f2_max(rho)
         single_aux = teleport.aux_criteria(rho)
         assert aux.N[k] == single_aux.N
         assert aux.M[k] == single_aux.M
@@ -173,12 +173,12 @@ def test_stack_and_scalar_paths_agree_exactly():
             assert np.array_equal(getattr(report, name)[k], value), name
     for n in (2, 3):  # one state and a stack of states against a stack of settings
         _, mu = random_settings(np.random.default_rng(95), len(rhos), n)[n]
-        values, at_first = (steering.steering_functional(r, mu).value for r in (rhos, rhos[0]))
+        values, at_first = (steering.steering_functional(r, mu) for r in (rhos, rhos[0]))
         operators, witnesses = steering.steering_operator(mu), witness.steering_witness(mu)
         for k, rho in enumerate(rhos):
             one = steering.MeasurementSetting(u=mu.u[k], v=mu.v[k])
-            assert values[k] == steering.steering_functional(rho, one).value
-            assert at_first[k] == steering.steering_functional(rhos[0], one).value
+            assert values[k] == steering.steering_functional(rho, one)
+            assert at_first[k] == steering.steering_functional(rhos[0], one)
             assert np.array_equal(operators[k], steering.steering_operator(one))
             assert np.array_equal(witnesses[k], witness.steering_witness(one))
 

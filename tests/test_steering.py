@@ -49,43 +49,39 @@ class TestSettingValidation:
 class TestFunctional:
     def test_maximally_mixed_vanishes(self):
         mu = steering.MeasurementSetting(u=AXES, v=AXES)
-        assert steering.steering_functional(MIXED, mu).value == pytest.approx(0, abs=1e-14)
+        assert steering.steering_functional(MIXED, mu) == pytest.approx(0, abs=1e-14)
 
     def test_product_ground_state(self):
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         mu = steering.MeasurementSetting(u=AXES, v=AXES)
         got = steering.steering_functional(rho, mu)
-        assert got.value == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert not got.violated
+        assert got == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert got <= 1.0
 
     def test_singlet_opposite_axes(self):
         mu = steering.MeasurementSetting(u=-AXES, v=AXES)
         got = steering.steering_functional(SINGLET, mu)
-        assert got.value == pytest.approx(np.sqrt(3), abs=1e-12)
-        assert got.violated
+        assert got == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert got > 1.0
 
 
 class TestOptima:
     def test_f3_werner_linear(self):
         for p in (0.2, 1 / np.sqrt(3), 0.9):
             rho = p * SINGLET + (1 - p) * MIXED
-            assert steering.f3_max(rho).value == pytest.approx(np.sqrt(3) * p, abs=1e-12)
+            assert steering.f3_max(rho) == pytest.approx(np.sqrt(3) * p, abs=1e-12)
         boundary = steering.f3_max((1 / np.sqrt(3)) * SINGLET + (1 - 1 / np.sqrt(3)) * MIXED)
-        assert boundary.value == pytest.approx(1.0, abs=1e-12)
+        assert boundary == pytest.approx(1.0, abs=1e-12)
 
     def test_f3_extremes(self):
-        assert steering.f3_max(SINGLET).value == pytest.approx(np.sqrt(3), abs=1e-12)
-        assert steering.f3_max(MIXED).value == pytest.approx(0, abs=1e-14)
+        assert steering.f3_max(SINGLET) == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert steering.f3_max(MIXED) == pytest.approx(0, abs=1e-14)
 
     def test_f2_values(self):
-        assert steering.f2_max(SINGLET).value == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert steering.f2_max(MIXED).value == pytest.approx(0, abs=1e-14)
+        assert steering.f2_max(SINGLET) == pytest.approx(np.sqrt(2), abs=1e-12)
+        assert steering.f2_max(MIXED) == pytest.approx(0, abs=1e-14)
         rho = 0.8 * SINGLET + 0.2 * MIXED
-        assert steering.f2_max(rho).value == pytest.approx(np.sqrt(2) * 0.8, abs=1e-12)
-
-    def test_violated_is_strict(self):
-        assert not steering.SteeringValue(1.0).violated
-        assert steering.SteeringValue(1.0 + 1e-12).violated
+        assert steering.f2_max(rho) == pytest.approx(np.sqrt(2) * 0.8, abs=1e-12)
 
 
 class TestOptimalDirections:
@@ -94,18 +90,18 @@ class TestOptimalDirections:
         # any orthonormal frame works for T = -I; u must be the reversed v
         assert np.allclose(mu.u, -mu.v, atol=1e-12)
         got = steering.steering_functional(SINGLET, mu)
-        assert got.value == pytest.approx(np.sqrt(3), abs=1e-12)
+        assert got == pytest.approx(np.sqrt(3), abs=1e-12)
 
     def test_product_state_reaches_one(self):
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         mu = steering.optimal_directions(rho, 3)
         got = steering.steering_functional(rho, mu)
-        assert got.value == pytest.approx(steering.f3_max(rho).value, abs=1e-12)
-        assert got.value == pytest.approx(1.0, abs=1e-12)
+        assert got == pytest.approx(steering.f3_max(rho), abs=1e-12)
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_any_frame(self):
         mu = steering.optimal_directions(MIXED, 3)
-        assert steering.steering_functional(MIXED, mu).value == pytest.approx(0, abs=1e-14)
+        assert steering.steering_functional(MIXED, mu) == pytest.approx(0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_achieves_optimum_on_random_states(self, n):
@@ -113,8 +109,8 @@ class TestOptimalDirections:
         for k in range(300):
             rho = sampling.random_state(sampling.SeededGenerator(41, k))
             mu = steering.optimal_directions(rho, n)
-            got = steering.steering_functional(rho, mu).value
-            assert abs(got - best(rho).value) < 1e-9
+            got = steering.steering_functional(rho, mu)
+            assert abs(got - best(rho)) < 1e-9
 
 
 def _reference_equalized_frame(M, k, visited):
@@ -201,9 +197,9 @@ class TestEqualizedFrame:
 
 class TestBound:
     def test_jm_bound_values(self):
-        assert steering.jm_bound_check(steering.SteeringValue(np.sqrt(3)))
-        assert steering.jm_bound_check(steering.SteeringValue(0.0))
-        assert not steering.jm_bound_check(steering.SteeringValue(1.8))
+        assert steering.jm_bound_check(np.sqrt(3))
+        assert steering.jm_bound_check(0.0)
+        assert not steering.jm_bound_check(1.8)
 
 
 class TestProperties:
@@ -212,18 +208,18 @@ class TestProperties:
         T = states.to_bloch(rhos).T
         s = np.linalg.svd(T, compute_uv=False)
         f3 = steering.f3_max(rhos)
-        assert np.all(np.abs(f3.value**2 - np.sum(s**2, axis=-1)) < 1e-10)
-        assert np.all(np.abs(f3.value**2 - np.sum(T**2, axis=(-2, -1))) < 1e-10)
-        assert np.all(steering.f2_max(rhos).value <= f3.value + 1e-12)
+        assert np.all(np.abs(f3**2 - np.sum(s**2, axis=-1)) < 1e-10)
+        assert np.all(np.abs(f3**2 - np.sum(T**2, axis=(-2, -1))) < 1e-10)
+        assert np.all(steering.f2_max(rhos) <= f3 + 1e-12)
         assert np.all(steering.jm_bound_check(f3))
 
     def test_no_setting_beats_the_optimum(self):
         # 100 settings for each of 1,000 states; draw j belongs to state j // 100
         rhos = checks._draws(44, range(1000))
-        caps = {2: steering.f2_max(rhos).value, 3: steering.f3_max(rhos).value}
+        caps = {2: steering.f2_max(rhos), 3: steering.f3_max(rhos)}
         for n, (positions, mu) in random_settings(np.random.default_rng(43), 100_000).items():
             owner = positions // 100
-            assert np.all(steering.steering_functional(rhos[owner], mu).value <= caps[n][owner] + 1e-9)
+            assert np.all(steering.steering_functional(rhos[owner], mu) <= caps[n][owner] + 1e-9)
 
     def test_local_unitary_invariance(self):
         rhos = checks._draws(45, range(200))
@@ -231,4 +227,4 @@ class TestProperties:
         pairs = [[sampling.haar_from_rng(rng, dim=2) for _ in range(2)] for rng in rngs]
         local = np.stack([np.kron(ua, ub) for ua, ub in pairs])
         rotated = local @ rhos @ np.swapaxes(local.conj(), -2, -1)
-        assert np.all(np.abs(steering.f3_max(rotated).value - steering.f3_max(rhos).value) < 1e-9)
+        assert np.all(np.abs(steering.f3_max(rotated) - steering.f3_max(rhos)) < 1e-9)

@@ -42,7 +42,7 @@ class TestImplication:
         assert teleport.steer_implies_teleport_check(SINGLET) is True
         assert teleport.steer_implies_teleport_check(MIXED)
         rho = werner(0.6)
-        assert steering.f3_max(rho).value > 1.0
+        assert steering.f3_max(rho) > 1.0
         assert teleport.aux_criteria(rho).N == pytest.approx(1.8, abs=1e-12)
         assert teleport.steer_implies_teleport_check(rho)
 
@@ -51,7 +51,7 @@ class TestProperties:
     def test_random_state_inequalities(self):
         rhos = checks._draws(61, range(10_000))
         aux = teleport.aux_criteria(rhos)
-        f3 = steering.f3_max(rhos).value
+        f3 = steering.f3_max(rhos)
         assert np.all(f3 <= aux.N + 1e-10)
         assert np.all(aux.M <= linalg.square(f3) + 1e-10)
         assert np.all(aux.N >= np.sqrt(aux.M) - 1e-12)
