@@ -55,7 +55,8 @@ def orbit_safe(purity: float) -> bool:
 
 def _spectrum_lhs(x: np.ndarray) -> float | np.ndarray:
     """best^2 = 3 sum_i x_i^2 - 2 sum_{i<j} x_i x_j of four eigenvalues (last axis)."""
-    return scalar_or_array(3.0 * np.sum(x**2, axis=-1) - 2.0 * states.pairwise_sum(x))
+    pairs = sum(x[..., i] * x[..., j] for i in range(4) for j in range(i + 1, 4))  # fixed order
+    return scalar_or_array(3.0 * np.sum(x**2, axis=-1) - 2.0 * pairs)
 
 
 def f3_global_max(spectrum) -> float | np.ndarray:

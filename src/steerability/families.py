@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import first_failure
+from .linalg import bisect, first_failure
 from . import absolute, states
 
 #: Families admitting a one-parameter threshold scan.
@@ -33,7 +33,6 @@ W_STATE[1] = W_STATE[2] = W_STATE[4] = 1 / np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class ScanResult:
-    family: str
     grid: np.ndarray                   # (n,) parameter values
     verdict: absolute.AbsoluteVerdict  # fields are (n,) arrays, one entry per grid value
     threshold: float | None            # refined boundary parameter, None if no crossing
@@ -112,11 +111,5 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     crossings = np.flatnonzero(flags[:-1] & ~flags[1:])
     if crossings.size:
         lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
-        while hi - lo > 1e-9:
-            mid = (lo + hi) / 2
-            if decide(mid).f3_global_max > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        threshold = (lo + hi) / 2
-    return ScanResult(family=family, grid=grid, verdict=verdict, threshold=threshold)
+        threshold = bisect(lambda mid: decide(mid).f3_global_max > 1.0, lo, hi, 1e-9)
+    return ScanResult(grid=grid, verdict=verdict, threshold=threshold)

@@ -1,4 +1,4 @@
-"""Dense linear algebra for 4x4 Hermitian and 3x3 real matrices.
+"""Dense linear algebra for 4x4 Hermitian and 3x3 real matrices, and one bisection.
 
 Thin, contract-checked wrappers around LAPACK (via numpy.linalg) sized to
 the two-qubit problem: descending eigensystems, correlation-matrix singular
@@ -89,3 +89,17 @@ def singular_values_3x3(T: np.ndarray) -> np.ndarray:
 def frobenius_norm(A: np.ndarray) -> float | np.ndarray:
     """sqrt(sum |entry|^2) over the last two axes; an array for a stack of matrices."""
     return scalar_or_array(np.sqrt(np.sum(np.abs(np.asarray(A)) ** 2, axis=(-2, -1))))
+
+
+def bisect(above, lo: float, hi: float, width: float) -> float:
+    """Midpoint of [lo, hi] after halving it, moving hi where above(mid) holds and lo where
+    it does not, until it is no wider than width, a step leaves it unchanged, or 80 steps."""
+    for _ in range(80):
+        if hi - lo <= width:
+            break
+        mid = (lo + hi) / 2
+        step = (lo, mid) if above(mid) else (mid, hi)
+        if step == (lo, hi):
+            break  # the loop is deterministic, so every later step repeats this one
+        lo, hi = step
+    return (lo + hi) / 2

@@ -76,13 +76,10 @@ def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
     best = steering.f3_max(rho)
     rng = g.rng()
     chunk = 4096
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        U = haar_from_rng(rng, size=count)
+    for done in range(0, trials, chunk):
+        U = haar_from_rng(rng, size=min(chunk, trials - done))
         conjugated = U @ rho @ np.swapaxes(U.conj(), -2, -1)
         best = max(best, float(np.max(steering.f3_max(conjugated))))
-        done += count
     return best
 
 
@@ -102,12 +99,9 @@ def aus3_volume_estimate(samples: int, g: SeededGenerator) -> tuple[float, float
     rng = g.rng()
     hits = 0
     chunk = 8192
-    done = 0
-    while done < samples:
-        count = min(chunk, samples - done)
-        rhos = states_from_rng(rng, size=count)
+    for done in range(0, samples, chunk):
+        rhos = states_from_rng(rng, size=min(chunk, samples - done))
         hits += int(np.sum(purity_at_most_half(rhos)))
-        done += count
     fraction = hits / samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / samples))
     return fraction, stderr

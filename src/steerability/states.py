@@ -65,9 +65,8 @@ class BlochForm:
 class SpectrumReport:
     """Descending eigenvalues of a state plus derived scalars (arrays for a stack)."""
 
-    eigenvalues: np.ndarray           # (..., 4), descending
-    purity: float | np.ndarray        # sum of squared eigenvalues
-    pairwise_sum: float | np.ndarray  # sum_{i<j} x_i x_j
+    eigenvalues: np.ndarray     # (..., 4), descending
+    purity: float | np.ndarray  # sum of squared eigenvalues
 
 
 def validate(M: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def from_bloch(form: BlochForm) -> np.ndarray:
 
 
 def spectrum_report(rho: np.ndarray) -> SpectrumReport:
-    """Descending spectrum, purity and pairwise eigenvalue sum of a state or stack.
+    """Descending spectrum and purity of a state or stack.
 
     Purity is computed both spectrally and as the squared Frobenius norm;
     disagreement beyond 1e-10 raises InternalInconsistency naming the state.
@@ -160,12 +159,7 @@ def spectrum_of(rho: np.ndarray, w: np.ndarray) -> SpectrumReport:
         raise InternalInconsistency(
             f"spectral purity {purity[i]:.15g} vs Frobenius purity {frob[i]:.15g}{at_state(i)}"
         )
-    return SpectrumReport(eigenvalues=w, purity=scalar_or_array(purity), pairwise_sum=pairwise_sum(w))
-
-
-def pairwise_sum(x: np.ndarray) -> float | np.ndarray:
-    """sum_{i<j} x_i x_j of four eigenvalues (last axis), summed in a fixed order."""
-    return scalar_or_array(sum(x[..., i] * x[..., j] for i in range(4) for j in range(i + 1, 4)))
+    return SpectrumReport(eigenvalues=w, purity=scalar_or_array(purity))
 
 
 def _check_pure3(psi: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidSetting
-from .linalg import at_state, first_failure, frobenius_norm, scalar_or_array
+from .linalg import at_state, bisect, first_failure, frobenius_norm, scalar_or_array
 from . import states, teleport
 
 _DIR_TOL = 1e-10
@@ -114,24 +114,17 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
         lo = int(np.argmin(d))
         if d[hi] - d[lo] <= 1e-15:
             break
-        # Rotate in the (hi, lo) plane until entry hi equals the mean; the
-        # endpoints bracket the target, so bisection on the angle is safe.
-        # Python floats: math.cos/math.sin round like np.cos/np.sin on these
+        # Rotate in the (hi, lo) plane until entry hi equals the mean; entry hi is at
+        # or above it at theta = 0 and at or below it at pi/2, so bisection on the angle
+        # is safe.  Python floats: math.cos/math.sin round like np.cos/np.sin on these
         # angles (pinned in the tests), so each step has numpy's bits.
         d_hh, d_ll, d_hl, target = float(D[hi, hi]), float(D[lo, lo]), float(D[hi, lo]), float(mean)
 
-        def pinned(theta: float) -> float:
+        def at_or_below(theta: float) -> bool:
             c, s = math.cos(theta), math.sin(theta)
-            return c * c * d_hh + s * s * d_ll + 2 * c * s * d_hl - target
+            return c * c * d_hh + s * s * d_ll + 2 * c * s * d_hl <= target
 
-        a, b = 0.0, math.pi / 2  # pinned(a) >= 0 >= pinned(b) by the argmax/argmin choice
-        for _ in range(80):
-            mid = (a + b) / 2
-            step = (mid, b) if pinned(mid) > 0 else (a, mid)
-            if step == (a, b):
-                break  # the loop is deterministic, so every later step repeats this one
-            a, b = step
-        theta = (a + b) / 2
+        theta = bisect(at_or_below, 0.0, math.pi / 2, 0.0)
         c, s = np.cos(theta), np.sin(theta)
         G = np.eye(k)
         G[hi, hi] = c

@@ -25,7 +25,6 @@ class AuxCriteria:
 
     N: float
     M: float
-    u: np.ndarray  # (..., 3) eigenvalues of T^t T, descending
 
 
 def aux_criteria(rho: np.ndarray) -> AuxCriteria:
@@ -36,7 +35,7 @@ def aux_criteria(rho: np.ndarray) -> AuxCriteria:
 def aux_of(s: np.ndarray) -> AuxCriteria:
     """aux_criteria from the descending singular values s (..., 3) of T, already computed."""
     M = square(s[..., 0]) + square(s[..., 1])
-    return AuxCriteria(N=scalar_or_array(np.sum(s, axis=-1)), M=M, u=s**2)
+    return AuxCriteria(N=scalar_or_array(np.sum(s, axis=-1)), M=M)
 
 
 def steer_implies_teleport_check(rho: np.ndarray) -> bool | np.ndarray:

@@ -1,4 +1,6 @@
+import ast
 import collections
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +17,18 @@ from steerability import absolute, checks, cli, families, states
 from steerability.cli import main
 
 DATA = Path(__file__).parent / "data"
+
+# LAYERS and KEPT of the benchmark's tracer, read from its source without importing it.
+_TRACER = {
+    node.targets[0].id: ast.literal_eval(node.value)
+    for node in ast.parse((Path(__file__).parents[1] / "benchmarks" / "tracer.py").read_text()).body
+    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("LAYERS", "KEPT")
+}
+
+
+def _tracer_names():
+    layers = [f"{module}.{name}" for module, names in _TRACER["LAYERS"].items() for name in names]
+    return layers + list(_TRACER["KEPT"])
 
 
 def write_json(path, payload):
@@ -277,6 +291,16 @@ class TestVerify:
         # length of its `members` local on return.
         assert cli._check_convexity is checks.convexity
         assert "members" in checks.convexity.__code__.co_varnames
+
+    @pytest.mark.parametrize("name", _tracer_names())
+    def test_tracer_names_resolve(self, name):
+        # benchmarks/tracer.py wraps each name at install and raises if one is missing;
+        # a KEPT function must also keep the local whose length the tracer records.
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"steerability.{module}"), attr)
+        assert callable(fn)
+        local = _TRACER["KEPT"].get(name)
+        assert local is None or local in fn.__code__.co_varnames
 
 
 def _family(tmp_path, family, **parameters):

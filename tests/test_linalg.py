@@ -117,3 +117,27 @@ def test_density_spectrum_invariant_under_conjugation():
     w1 = linalg.hermitian_eigensystem(rhos).eigenvalues
     w2 = linalg.hermitian_eigensystem(U @ rhos @ np.swapaxes(U.conj(), -2, -1)).eigenvalues
     assert np.max(np.abs(w1 - w2)) < 1e-9
+
+
+def _counted(above):
+    """above, with the list of the points it was asked about."""
+    asked = []
+    return (lambda t: asked.append(t) or above(t)), asked
+
+
+def test_bisect_stops_after_80_steps():
+    above, asked = _counted(lambda t: True)
+    assert linalg.bisect(above, 0.0, 1.0, 0.0) == 2.0**-81
+    assert len(asked) == 80
+
+
+def test_bisect_stops_at_its_fixed_point():
+    above, asked = _counted(lambda t: t > 0.3)
+    assert linalg.bisect(above, 0.0, 1.0, 0.0) == 0.30000000000000004
+    assert len(asked) == 55
+
+
+def test_bisect_stops_at_its_width():
+    above, asked = _counted(lambda t: t > 0.3)
+    assert abs(linalg.bisect(above, 0.0, 1.0, 1e-9) - 0.3) <= 1e-9
+    assert len(asked) == 30

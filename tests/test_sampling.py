@@ -167,7 +167,6 @@ def test_stack_and_scalar_paths_agree_exactly():
         single_aux = teleport.aux_criteria(rho)
         assert aux.N[k] == single_aux.N
         assert aux.M[k] == single_aux.M
-        assert np.array_equal(aux.u[k], single_aux.u)
         assert implication[k] == teleport.steer_implies_teleport_check(rho)
         for name, value in vars(states.spectrum_report(rho)).items():
             assert np.array_equal(getattr(report, name)[k], value), name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import checks, errors, sampling, states
+from steerability import absolute, checks, errors, sampling, states
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -159,10 +159,13 @@ class TestSpectrumReport:
         assert rep.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_report_identities(self):
-        rep = states.spectrum_report(checks._draws(24, range(200)))
+        rhos = checks._draws(24, range(200))
+        rep = states.spectrum_report(rhos)
         assert np.all(np.abs(np.sum(rep.eigenvalues, axis=-1) - 1) < 1e-10)
         assert np.all((0.25 - 1e-12 <= rep.purity) & (rep.purity <= 1 + 1e-12))
-        assert np.all(np.abs(2 * rep.pairwise_sum - (1 - rep.purity)) < 1e-10)
+        # 3 sum x^2 - 2 sum_{i<j} x_i x_j = 4 purity - 1 needs 2 sum_{i<j} x_i x_j = 1 - purity
+        lhs = absolute.decide_aus3(rhos).spectrum_lhs
+        assert np.all(np.abs((lhs + 1) / 4 - rep.purity) < 1e-10)
 
 
 class TestThreeQubit:

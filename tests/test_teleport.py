@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steerability import checks, linalg, steering, teleport
+from steerability.states import to_bloch
 
 MIXED = np.eye(4) / 4
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
@@ -61,6 +62,7 @@ class TestProperties:
     def test_aux_single_source(self):
         rho = werner(0.42)
         aux = teleport.aux_criteria(rho)
-        assert aux.N == pytest.approx(np.sum(np.sqrt(aux.u)), abs=1e-14)
-        assert aux.M == pytest.approx(aux.u[0] + aux.u[1], abs=1e-14)
-        assert np.all(np.diff(aux.u) <= 0)
+        s = linalg.singular_values_3x3(to_bloch(rho).T)
+        assert aux.N == pytest.approx(np.sum(s), abs=1e-14)
+        assert aux.M == pytest.approx(s[0] ** 2 + s[1] ** 2, abs=1e-14)
+        assert np.all(np.diff(s) <= 0)
