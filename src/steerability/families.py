@@ -24,6 +24,9 @@ SCANNABLE = ("werner", "gisin")
 #: States built and decided per stack in scan_family (bounds its peak memory).
 SCAN_CHUNK = 8192
 
+#: Bisection levels of scan_family's threshold refinement decided per stack.
+REFINE_LEVELS = 5
+
 GHZ_STATE = np.zeros(8, dtype=complex)
 GHZ_STATE[0] = GHZ_STATE[7] = 1 / np.sqrt(2.0)
 
@@ -83,12 +86,40 @@ def x_state(v1: float, v2: float, v3: float, v4: float, v5: float, v6: float) ->
     return states.validate(M)
 
 
+def _lookahead(above_all, lo: float, hi: float):
+    """A bisect predicate on [lo, hi] from above_all, which answers a float array entry by entry.
+
+    At a midpoint it has not seen, it decides in one above_all call every midpoint that the
+    next REFINE_LEVELS bisection steps could reach, caches each answer under its float (0.0
+    and -0.0 share a key), and records each deepest interval under its midpoint, so the next
+    unseen midpoint knows its interval.  bisect still picks every step, so it asks and
+    returns what it would with one above_all call per step.
+    """
+    known: dict[float, bool] = {}
+    interval = {(lo + hi) / 2: (lo, hi)}
+
+    def above(mid: float) -> bool:
+        if mid not in known:
+            level, points = [interval[mid]], []
+            for _ in range(REFINE_LEVELS):
+                mids = [(a + b) / 2 for a, b in level]
+                points += mids
+                level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
+            interval.update(((a + b) / 2, (a, b)) for a, b in level)
+            known.update(zip(points, above_all(np.array(points)).tolist()))
+        return known[mid]
+
+    return above
+
+
 def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     """Evaluate a one-parameter family on a grid and refine its boundary.
 
     The family states are built and decided in stacks of SCAN_CHUNK grid
     values.  A sign change of (orbit optimum - 1) between neighbours is
-    refined by bisection to 1e-9.
+    refined by bisection to 1e-9, deciding REFINE_LEVELS bisection levels
+    per stack (_lookahead); the walk and its threshold are those of one
+    state per step.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -111,5 +142,6 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     crossings = np.flatnonzero(flags[:-1] & ~flags[1:])
     if crossings.size:
         lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
-        threshold = bisect(lambda mid: decide(mid).f3_global_max > 1.0, lo, hi, 1e-9)
+        above = _lookahead(lambda mids: decide(mids).f3_global_max > 1.0, lo, hi)
+        threshold = bisect(above, lo, hi, 1e-9)
     return ScanResult(grid=grid, verdict=verdict, threshold=threshold)

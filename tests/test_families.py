@@ -1,5 +1,11 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steerability import absolute, errors, families, linalg, states
 
@@ -116,11 +122,14 @@ class TestXState:
 
 
 class TestScan:
-    def test_werner_threshold(self):
+    def test_werner_threshold(self, monkeypatch):
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+        decide, calls = absolute.decide_aus3, []
+        monkeypatch.setattr(absolute, "decide_aus3", lambda rho: calls.append(rho) or decide(rho))
         result = families.scan_family("werner", grid)
         assert result.threshold is not None
         assert abs(result.threshold - 1 / np.sqrt(3)) < 1e-9
+        assert len(calls) == 1 + 4  # the grid, then 20 bisection steps in rounds of 5
 
     @pytest.mark.parametrize("theta", [0.1, np.pi / 4, 1.4])
     def test_gisin_threshold(self, theta):
@@ -157,3 +166,99 @@ class TestScan:
             families.scan_family("xstate", [0.1])
         with pytest.raises(errors.OutOfRange):
             families.scan_family("werner", [])
+
+
+def _member(family, theta):
+    return families.werner if family == "werner" else (lambda w: families.gisin(w, theta))
+
+
+def _coin(x: float, bias: int) -> bool:
+    """A non-monotone answer read from a hash of x's bits (0.0 and -0.0 share theirs, as
+    float keys do); True for about bias in 256 floats."""
+    return hashlib.blake2b(struct.pack("<d", x + 0.0), digest_size=1).digest()[0] < bias
+
+
+class TestRefinement:
+    """scan_family decides REFINE_LEVELS bisection levels per stack and keeps the walk of
+    one decide_aus3 call per step."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["werner", "gisin"]),
+        offsets=st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=31),
+        theta=st.floats(0.1, 1.4),
+    )
+    def test_stack_entries_equal_one_state_calls(self, family, offsets, theta):
+        member = _member(family, theta)
+        weights = (1 / np.sqrt(3) if family == "werner" else 2 / 3) + np.array(offsets)
+        stack = absolute.decide_aus3(member(weights))
+        singles = [absolute.decide_aus3(member(w)) for w in weights.tolist()]
+        for name, column in vars(stack).items():
+            expected = np.array([getattr(one, name) for one in singles])
+            assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["werner", "gisin"]),
+        start=st.floats(0.0, 0.65),
+        step=st.floats(1e-4, 0.05),
+        theta=st.floats(0.1, 1.4),
+    )
+    def test_threshold_and_calls_match_the_one_state_walk(self, family, start, step, theta):
+        member = _member(family, theta)
+        grid = np.arange(start, 1.0, step)
+        decide, calls = absolute.decide_aus3, []
+
+        def counted(rho):
+            calls.append(rho.shape)
+            return decide(rho)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(absolute, "decide_aus3", counted)
+            result = families.scan_family(family, grid, theta=theta)
+        grid_calls = -(-grid.size // families.SCAN_CHUNK)
+
+        flags = result.verdict.in_aus3
+        crossings = np.flatnonzero(flags[:-1] & ~flags[1:])
+        if not crossings.size:
+            assert result.threshold is None and len(calls) == grid_calls
+            return
+        lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
+        steps = []
+
+        def above(mid):
+            steps.append(mid)
+            return decide(member(mid)).f3_global_max > 1.0
+
+        assert result.threshold.hex() == linalg.bisect(above, lo, hi, 1e-9).hex()
+        assert len(calls) == grid_calls + math.ceil(len(steps) / families.REFINE_LEVELS)
+        assert all(shape[0] <= 2**families.REFINE_LEVELS - 1 for shape in calls[grid_calls:])
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        bias=st.sampled_from([64, 128, 192, 240]),
+        width=st.sampled_from([0.0, 1e-9]),
+    )
+    @example(ends=(0.0, 1.0), bias=240, width=0.0)  # stopped by the 80-step cap
+    @example(ends=(0.1, 0.9), bias=128, width=0.0)  # stopped at a fixed point, after 56 steps
+    @example(ends=(1.0, math.nextafter(1.0, 2.0)), bias=128, width=0.0)  # adjacent floats
+    @example(ends=(0.1, 0.9), bias=128, width=1e-9)  # stopped by the width, after 30 steps
+    def test_lookahead_asks_what_the_plain_predicate_asks(self, ends, bias, width):
+        lo, hi = sorted(ends)
+        plain, ahead = [], []
+
+        def above(mid):
+            plain.append(mid)
+            return _coin(mid, bias)
+
+        lookahead = families._lookahead(
+            lambda mids: np.array([_coin(m, bias) for m in mids.tolist()]), lo, hi
+        )
+
+        def cached(mid):
+            ahead.append(mid)
+            return lookahead(mid)
+
+        assert linalg.bisect(cached, lo, hi, width).hex() == linalg.bisect(above, lo, hi, width).hex()
+        assert [m.hex() for m in ahead] == [m.hex() for m in plain]
