@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states, steering
+from .linalg import scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -29,28 +30,40 @@ class SeededGenerator:
         )
 
 
-def haar_from_rng(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
-    """Haar-distributed unitaries from an existing generator.
+def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Ginibre matrices: real parts, then imaginary parts, standard normal."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    Ginibre draw, QR factorization, then column phases fixed so the
-    triangular factor has positive diagonal (removing the factorization
-    ambiguity that would bias the distribution).
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., dim, dim) Ginibre stack.
+
+    QR factorization, then column phases fixed so the triangular factor has
+    positive diagonal (removing the factorization ambiguity that would bias
+    the distribution).
     """
-    shape = (dim, dim) if size is None else (size, dim, dim)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phase = diag / np.abs(diag)
     return q * phase[..., None, :]
 
 
-def states_from_rng(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Hilbert-Schmidt-measure states: rho = G G^dagger / Tr(G G^dagger)."""
-    shape = (4, 4) if size is None else (size, 4, 4)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _hilbert_schmidt(g: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt-measure states from a (..., 4, 4) Ginibre stack:
+    rho = G G^dagger / Tr(G G^dagger)."""
     gg = g @ np.swapaxes(g.conj(), -2, -1)
     tr = np.trace(gg, axis1=-2, axis2=-1).real
     return gg / tr[..., None, None]
+
+
+def haar_from_rng(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
+    """Haar-distributed unitaries from an existing generator."""
+    return _haar(_ginibre(rng, (dim, dim) if size is None else (size, dim, dim)))
+
+
+def states_from_rng(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Hilbert-Schmidt-measure states from an existing generator."""
+    return _hilbert_schmidt(_ginibre(rng, (4, 4) if size is None else (size, 4, 4)))
 
 
 def haar_unitary(g: SeededGenerator) -> np.ndarray:
@@ -63,24 +76,35 @@ def random_state(g: SeededGenerator) -> np.ndarray:
     return states.validate(states_from_rng(g.rng()))
 
 
-def empirical_f3_sup(rho: np.ndarray, trials: int, g: SeededGenerator) -> float:
-    """Largest best-three-setting value seen over sampled global unitaries.
+def empirical_f3_sup(
+    rho: np.ndarray, trials: int, g: SeededGenerator | list[SeededGenerator]
+) -> float | np.ndarray:
+    """Largest best-three-setting value seen over sampled global unitaries,
+    for one state and its SeededGenerator or a (..., 4, 4) stack and one per state.
 
     The sweep always includes the identity, so the input state's own value
     is a floor.  The result can never exceed the closed-form orbit optimum
-    sqrt(4 Tr(rho^2) - 1); the gap shrinks as trials grow.
+    sqrt(4 Tr(rho^2) - 1); the gap shrinks as trials grow.  Each state draws
+    its unitaries from its own generator in chunks of 4096, so a stack gives
+    the bits of its states one at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rho = np.asarray(rho, dtype=complex)
-    best = steering.f3_max(rho)
-    rng = g.rng()
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 state or stack, got shape {rho.shape}")
+    rngs = [g.rng()] if isinstance(g, SeededGenerator) else [one.rng() for one in g]
+    flat = rho.reshape(-1, 4, 4)
+    if len(rngs) != len(flat):
+        raise ValueError(f"need one generator per state: got {len(rngs)} for {len(flat)} states")
+    best = steering.f3_max(flat)
     chunk = 4096
     for done in range(0, trials, chunk):
-        U = haar_from_rng(rng, size=min(chunk, trials - done))
-        conjugated = U @ rho @ np.swapaxes(U.conj(), -2, -1)
-        best = max(best, float(np.max(steering.f3_max(conjugated))))
-    return best
+        shape = (min(chunk, trials - done), 4, 4)
+        U = _haar(np.stack([_ginibre(rng, shape) for rng in rngs]))
+        conjugated = U @ flat[:, None] @ np.swapaxes(U.conj(), -2, -1)
+        best = np.maximum(best, np.max(steering.f3_max(conjugated), axis=-1))
+    return scalar_or_array(best.reshape(rho.shape[:-2]))
 
 
 def purity_at_most_half(rhos: np.ndarray) -> np.ndarray:

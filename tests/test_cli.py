@@ -286,6 +286,12 @@ class TestVerify:
             "overall: PASS",
         ]
 
+    def test_multi_stack_report_is_pinned(self, capsys):
+        # maximality sweeps these 100 states in more than one empirical_f3_sup stack
+        assert checks.MAXIMALITY_UNITARIES // 100 < 100
+        assert main(["verify", "--trials", "100", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_100_seed_2.txt").read_text()
+
     def test_convexity_check_keeps_its_tracer_name(self):
         # benchmarks/tracer.py (KEPT) wraps cli._check_convexity and reads the
         # length of its `members` local on return.

@@ -1,10 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_settings
-from steerability import absolute, errors, families, linalg, sampling, states, steering, teleport, witness
+from steerability import absolute, checks, errors, families, linalg, sampling, states, steering, teleport
+from steerability import witness
 
 
 class TestHaar:
@@ -78,15 +82,90 @@ class TestEmpiricalSup:
         assert sups[0] <= sups[1] <= sups[2]
 
     def test_never_beats_closed_form(self):
-        for k in range(300):
-            rho = sampling.random_state(sampling.SeededGenerator(91, k))
-            bound = absolute.decide_aus3(rho).f3_global_max
-            sup = sampling.empirical_f3_sup(rho, 300, sampling.SeededGenerator(92, k))
-            assert sup <= bound + 1e-9
+        rhos = checks._draws(91, range(300))
+        bound = absolute.decide_aus3(rhos).f3_global_max
+        gens = [sampling.SeededGenerator(92, k) for k in range(300)]
+        assert np.all(sampling.empirical_f3_sup(rhos, 300, gens) <= bound + 1e-9)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             sampling.empirical_f3_sup(np.eye(4) / 4, 0, sampling.SeededGenerator(1))
+
+    @pytest.mark.parametrize("shape, gens, counts", [
+        ((3, 4, 4), 2, "got 2 for 3 states"),
+        ((4, 4), 2, "got 2 for 1 states"),
+        ((2, 4, 4), None, "got 1 for 2 states"),
+    ])
+    def test_rejects_a_generator_count_unlike_the_state_count(self, shape, gens, counts):
+        rho = np.broadcast_to(np.eye(4) / 4, shape)
+        g = sampling.SeededGenerator(1) if gens is None else [sampling.SeededGenerator(1, k) for k in range(gens)]
+        with pytest.raises(ValueError, match=f"^need one generator per state: {counts}$") as info:
+            sampling.empirical_f3_sup(rho, 5, g)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (3, 2, 8)])
+    def test_rejects_a_shape_that_is_not_4x4(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 state or stack, got shape \("):
+            sampling.empirical_f3_sup(np.full(shape, 1 / 16), 5, sampling.SeededGenerator(1))
+
+
+class TestStackedSweep:
+    """empirical_f3_sup on a stack gives the bits of its states one at a time, and
+    checks.maximality sweeps max(1, MAXIMALITY_UNITARIES // n) states per call."""
+
+    @settings(max_examples=16, deadline=None, database=None)
+    @given(
+        trials=st.sampled_from([1, 20, 4096, 4097]),  # one chunk, two chunks past 4096
+        offset=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_one_state_calls(self, trials, offset, seed):
+        # stack sizes on both sides of the states maximality puts in one call
+        size = max(1, max(1, checks.MAXIMALITY_UNITARIES // trials) + offset)
+        rhos = checks._draws(seed, range(size))
+        gens = [sampling.SeededGenerator(seed, size + k) for k in range(size)]
+        stacked = sampling.empirical_f3_sup(rhos, trials, gens)
+        singles = [sampling.empirical_f3_sup(rho, trials, g) for rho, g in zip(rhos, gens)]
+        assert all(type(one) is float for one in singles)
+        assert stacked.shape == (size,) and stacked.tobytes() == np.array(singles).tobytes()
+        if size % 2 == 0:  # leading axes are states in C order
+            square = rhos.reshape(2, size // 2, 4, 4)
+            assert sampling.empirical_f3_sup(square, trials, gens).tobytes() == stacked.tobytes()
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        streams=st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
+    )
+    def test_draws_equal_per_stream_states(self, seed, streams):
+        expected = np.stack([
+            states.validate(sampling.states_from_rng(sampling.SeededGenerator(seed, k).rng()))
+            for k in streams
+        ])
+        assert checks._draws(seed, streams).tobytes() == expected.tobytes()
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(n=st.integers(1, 150), seed=st.integers(0, 2**16))
+    def test_maximality_makes_one_call_and_one_qr_per_stack(self, n, seed):
+        sweep, qr, sizes, shapes = sampling.empirical_f3_sup, np.linalg.qr, [], []
+
+        def counted_sweep(rho, trials, g):
+            sizes.append(len(rho))
+            return sweep(rho, trials, g)
+
+        def counted_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "empirical_f3_sup", counted_sweep)
+            mp.setattr(np.linalg, "qr", counted_qr)
+            ok, _ = checks.maximality(n, seed)
+        step = max(1, checks.MAXIMALITY_UNITARIES // n)
+        assert ok
+        assert len(sizes) == math.ceil(n / step)
+        assert sizes == [min(step, n - k) for k in range(0, n, step)]
+        assert shapes == [(size, n, 4, 4) for size in sizes]
 
 
 class TestVolumeEstimate:
