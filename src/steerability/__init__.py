@@ -23,7 +23,6 @@ from .errors import (
 from .linalg import (
     EigenSystem4,
     HERM_TOL,
-    RECON_TOL,
     frobenius_norm,
     hermitian_eigensystem,
     singular_values_3x3,
@@ -65,7 +64,6 @@ from .sampling import (
     aus3_volume_estimate,
     empirical_f3_sup,
     haar_from_rng,
-    haar_unitary,
     random_state,
     states_from_rng,
 )

@@ -12,12 +12,6 @@ import numpy as np
 
 from . import absolute, sampling, states, steering, teleport
 
-# Sampled unitaries per empirical_f3_sup call in maximality, which sweeps
-# max(1, MAXIMALITY_UNITARIES // n) states of n trials each per call.  One call
-# saves the per-state QR and f3_max overhead at small n; at n = 300 a stack of
-# more than one state was slower than one state per call.
-MAXIMALITY_UNITARIES = 512
-
 
 def _draws(seed: int, streams) -> np.ndarray:
     """Stack of the first random state of each (seed, stream), built and validated as one stack."""
@@ -37,11 +31,7 @@ def maximality(n: int, seed: int) -> tuple[bool, float]:
     canonical = absolute.bell_diagonal_canonical(rhos)
     bound = absolute.verdict_of(rhos, canonical.weights, states.to_bloch(rhos)).f3_global_max
     gens = [sampling.SeededGenerator(seed, 2 * k + 1) for k in range(n)]
-    step = max(1, MAXIMALITY_UNITARIES // n)
-    sup = np.concatenate([
-        sampling.empirical_f3_sup(rhos[k : k + step], n, gens[k : k + step])
-        for k in range(0, n, step)
-    ])
+    sup = sampling.empirical_f3_sup(rhos, n, gens)
     attained = steering.f3_max(canonical.matrix)
     worst = float(np.max(np.maximum(sup - bound, np.abs(attained - bound))))
     return worst <= 1e-9, worst

@@ -15,8 +15,6 @@ from .errors import NoConvergence, NotHermitian
 
 # Hermiticity admission window (max-norm of A - A^dagger).
 HERM_TOL = 1e-10
-# Eigendecomposition reconstruction guarantee (max-norm).
-RECON_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class TestDecide:
 
     def test_global_unitary_invariance(self):
         rhos = checks._draws(54, range(1000))
-        U = np.stack([sampling.haar_unitary(sampling.SeededGenerator(55, k)) for k in range(1000)])
+        U = np.stack([sampling.haar_from_rng(sampling.SeededGenerator(55, k).rng()) for k in range(1000)])
         v1 = absolute.decide_aus3(rhos)
         v2 = absolute.decide_aus3(U @ rhos @ np.swapaxes(U.conj(), -2, -1))
         assert np.array_equal(v1.in_aus3, v2.in_aus3)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNCONVERGED
-from steerability import absolute, checks, cli, families, states
+from steerability import absolute, checks, cli, families, sampling, states
 from steerability.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -254,6 +254,11 @@ class TestSample:
         assert main(["sample", "--samples", "20000", "--seed", "0"]) == 0
         assert capsys.readouterr().out == (DATA / "sample_20000_seed_0.txt").read_text()
 
+    def test_many_chunk_report_is_pinned(self, capsys):
+        # 13 chunks of Ginibre draws, the last one partial
+        assert main(["sample", "--samples", "100000", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (DATA / "sample_100000_seed_1.txt").read_text()
+
 
 class TestVerify:
     def test_battery_passes(self, capsys):
@@ -287,8 +292,8 @@ class TestVerify:
         ]
 
     def test_multi_stack_report_is_pinned(self, capsys):
-        # maximality sweeps these 100 states in more than one empirical_f3_sup stack
-        assert checks.MAXIMALITY_UNITARIES // 100 < 100
+        # empirical_f3_sup sweeps maximality's 100 states in more than one stack
+        assert sampling._SWEEP_UNITARIES // 100 < 100
         assert main(["verify", "--trials", "100", "--seed", "2"]) == 0
         assert capsys.readouterr().out == (DATA / "verify_100_seed_2.txt").read_text()
 

@@ -27,7 +27,7 @@ def _state(entries):
 @given(entries=_ENTRIES, seed=st.integers(0, 2**32 - 1))
 def test_global_unitary_invariance(entries, seed):
     rho = _state(entries)
-    U = sampling.haar_unitary(sampling.SeededGenerator(seed))
+    U = sampling.haar_from_rng(sampling.SeededGenerator(seed).rng())
     before = absolute.decide_aus3(rho)
     after = absolute.decide_aus3(states.validate(U @ rho @ U.conj().T))
     assert abs(before.purity - after.purity) < 1e-9

@@ -14,13 +14,13 @@ from steerability import witness
 class TestHaar:
     def test_unitarity(self):
         for k in range(100):
-            U = sampling.haar_unitary(sampling.SeededGenerator(81, k))
+            U = sampling.haar_from_rng(sampling.SeededGenerator(81, k).rng())
             assert np.max(np.abs(U.conj().T @ U - np.eye(4))) < 1e-10
 
     def test_deterministic_per_stream(self):
-        a = sampling.haar_unitary(sampling.SeededGenerator(42, 0))
-        b = sampling.haar_unitary(sampling.SeededGenerator(42, 0))
-        c = sampling.haar_unitary(sampling.SeededGenerator(42, 1))
+        a = sampling.haar_from_rng(sampling.SeededGenerator(42, 0).rng())
+        b = sampling.haar_from_rng(sampling.SeededGenerator(42, 0).rng())
+        c = sampling.haar_from_rng(sampling.SeededGenerator(42, 1).rng())
         assert np.array_equal(a, b)
         assert not np.allclose(a, c)
 
@@ -28,7 +28,7 @@ class TestHaar:
         rho = families.gisin(0.5, 0.7)
         w0 = np.sort(np.linalg.eigvalsh(rho))
         for k in range(50):
-            U = sampling.haar_unitary(sampling.SeededGenerator(82, k))
+            U = sampling.haar_from_rng(sampling.SeededGenerator(82, k).rng())
             w = np.sort(np.linalg.eigvalsh(U @ rho @ U.conj().T))
             assert np.max(np.abs(w - w0)) < 1e-9
 
@@ -36,7 +36,7 @@ class TestHaar:
         # E|U_ij|^2 = 1/4 for Haar on U(4), before and after a fixed left factor
         rng = sampling.SeededGenerator(83).rng()
         batch = sampling.haar_from_rng(rng, size=4000)
-        fixed = sampling.haar_unitary(sampling.SeededGenerator(84))
+        fixed = sampling.haar_from_rng(sampling.SeededGenerator(84).rng())
         for stack in (batch, fixed @ batch):
             moments = np.mean(np.abs(stack) ** 2, axis=0)
             assert np.max(np.abs(moments - 0.25)) < 0.02
@@ -111,7 +111,7 @@ class TestEmpiricalSup:
 
 class TestStackedSweep:
     """empirical_f3_sup on a stack gives the bits of its states one at a time, and
-    checks.maximality sweeps max(1, MAXIMALITY_UNITARIES // n) states per call."""
+    sweeps max(1, _SWEEP_UNITARIES // trials) states per stack."""
 
     @settings(max_examples=16, deadline=None, database=None)
     @given(
@@ -120,8 +120,8 @@ class TestStackedSweep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stack_equals_one_state_calls(self, trials, offset, seed):
-        # stack sizes on both sides of the states maximality puts in one call
-        size = max(1, max(1, checks.MAXIMALITY_UNITARIES // trials) + offset)
+        # stack sizes on both sides of the states the sweep puts in one stack
+        size = max(1, max(1, sampling._SWEEP_UNITARIES // trials) + offset)
         rhos = checks._draws(seed, range(size))
         gens = [sampling.SeededGenerator(seed, size + k) for k in range(size)]
         stacked = sampling.empirical_f3_sup(rhos, trials, gens)
@@ -161,11 +161,30 @@ class TestStackedSweep:
             mp.setattr(sampling, "empirical_f3_sup", counted_sweep)
             mp.setattr(np.linalg, "qr", counted_qr)
             ok, _ = checks.maximality(n, seed)
-        step = max(1, checks.MAXIMALITY_UNITARIES // n)
+        step = max(1, sampling._SWEEP_UNITARIES // n)
         assert ok
-        assert len(sizes) == math.ceil(n / step)
-        assert sizes == [min(step, n - k) for k in range(0, n, step)]
-        assert shapes == [(size, n, 4, 4) for size in sizes]
+        assert sizes == [n]
+        assert len(shapes) == math.ceil(n / step)
+        assert shapes == [(min(step, n - k), n, 4, 4) for k in range(0, n, step)]
+
+    @pytest.mark.parametrize("trials", [1, 170, 511, 512, 513, 4097])
+    def test_sweep_bounds_the_unitaries_it_holds(self, trials):
+        # a stack of 40 states holds at most max(512, min(trials, 4096)) unitaries at once
+        rhos, qr, shapes = checks._draws(3, range(40)), np.linalg.qr, []
+
+        def counted_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        count = 40 if trials < 4096 else 2
+        gens = [sampling.SeededGenerator(4, k) for k in range(count)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "qr", counted_qr)
+            sampling.empirical_f3_sup(rhos[:count], trials, gens)
+        step = max(1, sampling._SWEEP_UNITARIES // trials)
+        chunks = [min(4096, trials - done) for done in range(0, trials, 4096)]
+        assert shapes == [(min(step, count - k), c, 4, 4) for k in range(0, count, step) for c in chunks]
+        assert max(a * b for a, b, _, _ in shapes) <= max(512, min(trials, 4096))
 
 
 class TestVolumeEstimate:
@@ -189,6 +208,80 @@ class TestVolumeEstimate:
         rhos = sampling.states_from_rng(g.rng(), size=500)
         purities = np.einsum("nab,nba->n", rhos, rhos).real
         assert fraction == np.mean(purities <= 0.5)
+
+
+def rho_based_fraction(samples, g):
+    """The volume estimate's count made from rho: states_from_rng in chunks of 8192."""
+    rng, hits = g.rng(), 0
+    for done in range(0, samples, 8192):
+        hits += int(np.sum(sampling.purity_at_most_half(sampling.states_from_rng(rng, size=min(8192, samples - done)))))
+    return hits / samples
+
+
+def boundary_ginibre(seed, count=8):
+    """G = V diag(sqrt(lambda)) with Haar V, so rho = V diag(lambda) V^dagger: sum lambda^2 = 1/2
+    at lambda = (x0, (1 - x0)/3 x 3), x0 = (1 + sqrt 3)/4, and within a few ulps of it as x
+    steps by ulps, and at lambda = (1/2, 1/2, 0, 0)."""
+    xs = [(1 + np.sqrt(3)) / 4]
+    for _ in range(6):
+        xs = [np.nextafter(xs[0], 0), *xs, np.nextafter(xs[-1], 1)]
+    lams = np.array([[x, *[(1 - x) / 3] * 3] for x in xs] + [[0.5, 0.5, 0.0, 0.0]])
+    V = sampling.haar_from_rng(sampling.SeededGenerator(seed).rng(), size=count * len(lams))
+    return V * np.sqrt(np.repeat(lams, count, axis=0))[:, None, :]
+
+
+class TestFastPurity:
+    """aus3_volume_estimate reads purities from the Ginibre draws (_hs_purity) and decides
+    the states within _HS_GUARD of 1/2 from rho, so its counts equal the rho-based test's."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 8191, 8192, 8193]))
+    def test_verdict_equals_the_rho_based_one(self, seed, size):
+        ginibre = sampling._ginibre(sampling.SeededGenerator(seed).rng(), (size, 4, 4))
+        rhos = sampling._hilbert_schmidt(ginibre)
+        fast = sampling._hs_purity(ginibre)
+        assert np.array_equal(fast <= 0.5, sampling.purity_at_most_half(rhos))
+        assert np.max(np.abs(fast - np.sum(np.abs(rhos) ** 2, axis=(-2, -1)))) <= sampling._HS_GUARD / 1000
+
+    @pytest.mark.parametrize("samples, seed", [(100, 3), (8192, 5), (8193, 6), (20_000, 0), (20_000, 11)])
+    def test_exact_path_everywhere_gives_the_rho_based_fraction(self, samples, seed, monkeypatch):
+        fast = sampling.aus3_volume_estimate(samples, sampling.SeededGenerator(seed))
+        monkeypatch.setattr(sampling, "_HS_GUARD", 1.0)
+        exact = sampling.aus3_volume_estimate(samples, sampling.SeededGenerator(seed))
+        assert exact == fast
+        assert exact[0] == rho_based_fraction(samples, sampling.SeededGenerator(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_boundary_states_keep_the_rho_based_verdict(self, seed, monkeypatch):
+        ginibre = boundary_ginibre(seed)
+        fast = sampling._hs_purity(ginibre)
+        exact = sampling.purity_at_most_half(sampling._hilbert_schmidt(ginibre))
+        assert np.all(np.abs(fast - 0.5) <= sampling._HS_GUARD)
+        assert 0 < np.sum(exact) < len(exact)
+        assert np.any((fast <= 0.5) != exact)  # the guard is what keeps these verdicts
+        monkeypatch.setattr(sampling, "_ginibre", lambda rng, shape: ginibre[: shape[0]])
+        fraction, _ = sampling.aus3_volume_estimate(len(ginibre), sampling.SeededGenerator(seed))
+        assert fraction == np.mean(exact)
+
+    @pytest.mark.parametrize("guard", [1e-12, 1e-3])
+    def test_rho_is_built_only_for_guarded_states(self, guard, monkeypatch):
+        build, sizes = sampling._hilbert_schmidt, []
+
+        def counted(ginibre):
+            sizes.append(len(ginibre))
+            return build(ginibre)
+
+        rng, near = sampling.SeededGenerator(0).rng(), []
+        for done in range(0, 20_000, 8192):
+            purity = sampling._hs_purity(sampling._ginibre(rng, (min(8192, 20_000 - done), 4, 4)))
+            near.append(int(np.sum(np.abs(purity - 0.5) <= guard)))
+        expected = rho_based_fraction(20_000, sampling.SeededGenerator(0))
+        monkeypatch.setattr(sampling, "_HS_GUARD", guard)
+        monkeypatch.setattr(sampling, "_hilbert_schmidt", counted)
+        fraction, _ = sampling.aus3_volume_estimate(20_000, sampling.SeededGenerator(0))
+        assert sizes == near
+        assert fraction == expected
+        assert (sum(sizes) > 0) == (guard > 1e-6)
 
 
 def edge_states():
