@@ -13,13 +13,6 @@ import numpy as np
 from . import absolute, sampling, states, steering, teleport
 
 
-def _draws(seed: int, streams) -> np.ndarray:
-    """Stack of the first random state of each (seed, stream), built and validated as one stack."""
-    rngs = (sampling.SeededGenerator(seed, k).rng() for k in streams)
-    ginibre = np.stack([sampling._ginibre(rng, (4, 4)) for rng in rngs])
-    return states.validate(sampling._hilbert_schmidt(ginibre))
-
-
 def maximality(n: int, seed: int) -> tuple[bool, float]:
     """Sampled orbit values never beat the closed form; the canonical
     Bell-diagonal state attains it.  Margin: worst (observed - bound).
@@ -27,7 +20,7 @@ def maximality(n: int, seed: int) -> tuple[bool, float]:
     Each of the n states gets its own n sampled unitaries, so the cost
     grows with the square of n.
     """
-    rhos = _draws(seed, range(0, 2 * n, 2))
+    rhos = sampling.random_state([sampling.SeededGenerator(seed, 2 * k) for k in range(n)])
     canonical = absolute.bell_diagonal_canonical(rhos)
     bound = absolute.verdict_of(rhos, canonical.weights, states.to_bloch(rhos)).f3_global_max
     gens = [sampling.SeededGenerator(seed, 2 * k + 1) for k in range(n)]
@@ -43,13 +36,14 @@ def four_criteria(n: int, seed: int) -> tuple[bool, float]:
     A spread beyond the boundary tolerance raises InternalInconsistency
     from decide_aus3, naming the four route values and the state.
     """
-    worst = float(np.max(absolute.decide_aus3(_draws(seed, range(n))).spread))
+    rhos = sampling.random_state([sampling.SeededGenerator(seed, k) for k in range(n)])
+    worst = float(np.max(absolute.decide_aus3(rhos).spread))
     return worst <= 1e-9, worst
 
 
 def steer_implies_teleport(n: int, seed: int) -> tuple[bool, float]:
     """F3 <= N on every draw; margin: worst F3 - N."""
-    rhos = _draws(seed, range(n))
+    rhos = sampling.random_state([sampling.SeededGenerator(seed, k) for k in range(n)])
     worst = float(np.max(steering.f3_max(rhos) - teleport.aux_criteria(rhos).N))
     return bool(np.all(teleport.steer_implies_teleport_check(rhos))) and worst <= 1e-10, worst
 

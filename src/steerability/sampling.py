@@ -1,12 +1,11 @@
 """Seeded randomness: Haar unitaries, Hilbert-Schmidt random states, and the
 Monte Carlo estimates built on them.
 
-Every public operation is a pure function of its inputs and a
-(seed, stream) pair; workers get independent streams and reductions are
-order-independent, so results do not depend on how work is split.  The
-volume estimate reads each state's purity straight from its Ginibre draw
-and builds rho only for the rare state whose verdict that purity cannot
-settle, so its counts equal those of the rho-based test.
+Every public operation is a pure function of its inputs and a (seed, stream)
+pair, or one such pair per state of a stack.  The volume estimate reads each
+state's purity straight from its Ginibre draw and builds rho only for the
+rare state whose verdict that purity cannot settle, so its counts equal
+those of the rho-based test.
 """
 
 from __future__ import annotations
@@ -97,9 +96,12 @@ def states_from_rng(rng: np.random.Generator, size: int | None = None) -> np.nda
     return _hilbert_schmidt(_ginibre(rng, (4, 4) if size is None else (size, 4, 4)))
 
 
-def random_state(g: SeededGenerator) -> np.ndarray:
-    """First Hilbert-Schmidt random state of the stream, validated."""
-    return states.validate(states_from_rng(g.rng()))
+def random_state(g: SeededGenerator | list[SeededGenerator]) -> np.ndarray:
+    """First Hilbert-Schmidt random state of the stream, validated; for a list of n streams,
+    the (n, 4, 4) stack of their first states, each bit for bit as drawn alone."""
+    if isinstance(g, SeededGenerator):
+        return states.validate(states_from_rng(g.rng()))
+    return states.validate(_hilbert_schmidt(np.stack([_ginibre(one.rng(), (4, 4)) for one in g])))
 
 
 def empirical_f3_sup(

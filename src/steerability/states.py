@@ -32,11 +32,8 @@ PAULI_1Q = np.array(
 
 _I2 = np.eye(2, dtype=complex)
 
-# Kronecker tables: PAULI_A[i] = s_i (x) I, PAULI_B[j] = I (x) s_j,
-# PAULI_AB[i, j] = s_i (x) s_j.
-PAULI_A = np.stack([np.kron(s, _I2) for s in PAULI_1Q])
-PAULI_B = np.stack([np.kron(_I2, s) for s in PAULI_1Q])
-PAULI_AB = np.stack([[np.kron(si, sj) for sj in PAULI_1Q] for si in PAULI_1Q])
+# Kronecker table PAULI_2Q[m, n] = s_m (x) s_n, with s_0 = I and s_1, s_2, s_3 = X, Y, Z.
+PAULI_2Q = np.stack([[np.kron(si, sj) for sj in (_I2, *PAULI_1Q)] for si in (_I2, *PAULI_1Q)])
 
 _RT2 = np.sqrt(2.0)
 # Columns: Phi+ = (|00>+|11>)/rt2, Phi- = (|00>-|11>)/rt2,
@@ -112,13 +109,10 @@ def validate(M: np.ndarray) -> np.ndarray:
 def to_bloch(rho: np.ndarray) -> BlochForm:
     """Hilbert-Schmidt decomposition of a valid state or a (..., 4, 4) stack.
 
-    a_i = Tr(rho s_i (x) I), b_j = Tr(rho I (x) s_j), T_ij = Tr(rho s_i (x) s_j).
+    a_i = R_i0, b_j = R_0j and T_ij = R_ij of R_mn = Tr(rho s_m (x) s_n), with s_0 = I.
     """
-    rho = np.asarray(rho, dtype=complex)
-    a = np.real(np.einsum("iab,...ba->...i", PAULI_A, rho))
-    b = np.real(np.einsum("iab,...ba->...i", PAULI_B, rho))
-    T = np.real(np.einsum("ijab,...ba->...ij", PAULI_AB, rho))
-    return BlochForm(a=a, b=b, T=T)
+    R = np.real(np.einsum("mnab,...ba->...mn", PAULI_2Q, np.asarray(rho, dtype=complex)))
+    return BlochForm(a=R[..., 1:, 0], b=R[..., 0, 1:], T=R[..., 1:, 1:])
 
 
 def from_bloch(form: BlochForm) -> np.ndarray:
@@ -132,9 +126,9 @@ def from_bloch(form: BlochForm) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # finite data can still overflow
         M = (
             np.eye(4, dtype=complex)
-            + np.einsum("i,iab->ab", a, PAULI_A)
-            + np.einsum("j,jab->ab", b, PAULI_B)
-            + np.einsum("ij,ijab->ab", T, PAULI_AB)
+            + np.einsum("i,iab->ab", a, PAULI_2Q[1:, 0])
+            + np.einsum("j,jab->ab", b, PAULI_2Q[0, 1:])
+            + np.einsum("ij,ijab->ab", T, PAULI_2Q[1:, 1:])
         ) / 4.0
     if not np.all(np.isfinite(M)):
         raise NotPositive("Bloch data gives a non-finite matrix, so it describes no state")

@@ -59,7 +59,7 @@ class MeasurementSetting:
 def steering_operator(mu: MeasurementSetting) -> np.ndarray:
     """S = (1/sqrt(n)) sum_i (u_i . s) (x) (v_i . s), so Tr(S rho) is the signed functional;
     (..., 4, 4) for a stack of settings."""
-    return np.einsum("...ij,...ik,jkab->...ab", mu.u, mu.v, states.PAULI_AB) / np.sqrt(mu.n)
+    return np.einsum("...ij,...ik,jkab->...ab", mu.u, mu.v, states.PAULI_2Q[1:, 1:]) / np.sqrt(mu.n)
 
 
 def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.ndarray:

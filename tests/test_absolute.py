@@ -47,7 +47,8 @@ class TestDecide:
         assert v.f3_global_max == pytest.approx(0.0, abs=1e-12)
 
     def test_verdict_identities(self):
-        v = absolute.decide_aus3(checks._draws(53, range(500)))
+        rhos = sampling.random_state([sampling.SeededGenerator(53, k) for k in range(500)])
+        v = absolute.decide_aus3(rhos)
         f3_sq = linalg.square(v.f3_global_max)
         assert np.all(np.abs(f3_sq - v.spectrum_lhs) < 1e-10)
         assert np.all(np.abs(v.spectrum_lhs - (4 * v.purity - 1)) < 1e-10)
@@ -58,7 +59,7 @@ class TestDecide:
         assert np.all(v.spread <= 1e-9)
 
     def test_global_unitary_invariance(self):
-        rhos = checks._draws(54, range(1000))
+        rhos = sampling.random_state([sampling.SeededGenerator(54, k) for k in range(1000)])
         U = np.stack([sampling.haar_from_rng(sampling.SeededGenerator(55, k).rng()) for k in range(1000)])
         v1 = absolute.decide_aus3(rhos)
         v2 = absolute.decide_aus3(U @ rhos @ np.swapaxes(U.conj(), -2, -1))
@@ -90,7 +91,7 @@ class TestCanonical:
         assert steering.f3_max(can.matrix) == pytest.approx(np.sqrt(1.64), abs=1e-12)
 
     def test_canonical_contracts(self):
-        rhos = checks._draws(57, range(300))
+        rhos = sampling.random_state([sampling.SeededGenerator(57, k) for k in range(300)])
         can = absolute.bell_diagonal_canonical(rhos)
         U, U_dagger = can.unitary, np.swapaxes(can.unitary.conj(), -2, -1)
         assert np.max(np.abs(U @ U_dagger - np.eye(4))) < 1e-9
@@ -101,7 +102,7 @@ class TestCanonical:
         assert np.max(np.abs(steering.f3_max(can.matrix) - bound)) < 1e-9
 
     def test_orbit_never_beats_canonical(self):
-        rhos = checks._draws(58, range(100))
+        rhos = sampling.random_state([sampling.SeededGenerator(58, k) for k in range(100)])
         bound = absolute.decide_aus3(rhos).f3_global_max
         gens = [sampling.SeededGenerator(59, k) for k in range(100)]
         assert np.all(sampling.empirical_f3_sup(rhos, 100, gens) <= bound + 1e-9)
@@ -121,7 +122,7 @@ class TestBall:
         assert absolute.frobenius_ball_check(families.werner(1 / np.sqrt(3)))
 
     def test_matches_decide(self):
-        rhos = checks._draws(60, range(500))
+        rhos = sampling.random_state([sampling.SeededGenerator(60, k) for k in range(500)])
         assert np.array_equal(absolute.frobenius_ball_check(rhos), absolute.decide_aus3(rhos).in_aus3)
 
 

@@ -72,7 +72,7 @@ def test_criterion_03_quantum_maximum():
 def test_criterion_04_purity_identity():
     start = time.perf_counter()
     simplex = np.random.default_rng(104).dirichlet(np.ones(4), size=100_000)
-    rhos = checks._draws(104, range(10_000))
+    rhos = sampling.random_state([sampling.SeededGenerator(104, k) for k in range(10_000)])
     spectra = np.concatenate([simplex, linalg.hermitian_eigensystem(rhos).eigenvalues])
     purity = np.concatenate([np.sum(simplex**2, axis=-1), np.einsum("nab,nba->n", rhos, rhos).real])
     gaps = np.abs(linalg.square(absolute.f3_global_max(spectra)) - (4 * purity - 1))
@@ -85,7 +85,8 @@ def test_criterion_04_purity_identity():
 
 def test_criterion_05_four_criteria_agreement():
     edge = 0.5 + absolute.BOUNDARY_TOL
-    v = absolute.decide_aus3(checks._draws(105, range(10_000)))  # raises on disagreement
+    rhos = sampling.random_state([sampling.SeededGenerator(105, k) for k in range(10_000)])
+    v = absolute.decide_aus3(rhos)  # raises on disagreement
     f3_route = (linalg.square(v.f3_global_max) + 1) / 4
     for route in ((v.spectrum_lhs + 1) / 4, v.purity, (v.bloch_sum + 1) / 4, f3_route):
         assert np.array_equal(route <= edge, v.in_aus3)
@@ -126,7 +127,8 @@ def test_criterion_08_witness_contract():
     expectation = np.trace(w.matrix @ rho).real
     assert abs(expectation - (1 - np.sqrt(3) * 0.7)) < 1e-9
     assert expectation < 0
-    draws = checks._draws(108, range(2000))  # the first 1,000 members among these streams
+    # the first 1,000 members among these streams
+    draws = sampling.random_state([sampling.SeededGenerator(108, k) for k in range(2000)])
     members = draws[sampling.purity_at_most_half(draws)][:1000]
     assert len(members) == 1000
     values = np.trace(w.matrix @ members, axis1=-2, axis2=-1).real

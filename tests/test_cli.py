@@ -272,24 +272,40 @@ class TestVerify:
 
     def test_corrupted_pauli_table_fails(self, monkeypatch, capsys):
         # wrong sign on one entry of the Z(x)Z operator breaks the Bloch route
-        bad = states.PAULI_AB.copy()
-        bad[2, 2, 0, 0] *= -1
-        monkeypatch.setattr(states, "PAULI_AB", bad)
+        bad = states.PAULI_2Q.copy()
+        bad[3, 3, 0, 0] *= -1
+        monkeypatch.setattr(states, "PAULI_2Q", bad)
         assert main(["verify", "--trials", "10", "--seed", "1"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
         # the route-agreement check reports the disagreement it found
         assert "# four_criteria: criteria disagree: " in out
 
+    REPORT_20_SEED_0 = [
+        "maximality: PASS (worst margin 5.55111512313e-16)",
+        "four_criteria: PASS (worst margin 7.77156117238e-16)",
+        "steer_implies_teleport: PASS (worst margin -0.0630357061484)",
+        "convexity: PASS (worst margin -0.0445260142784)",
+        "overall: PASS",
+    ]
+
     def test_report_is_pinned(self, capsys):
         assert main(["verify", "--trials", "20", "--seed", "0"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "maximality: PASS (worst margin 5.55111512313e-16)",
-            "four_criteria: PASS (worst margin 7.77156117238e-16)",
-            "steer_implies_teleport: PASS (worst margin -0.0630357061484)",
-            "convexity: PASS (worst margin -0.0445260142784)",
-            "overall: PASS",
-        ]
+        assert capsys.readouterr().out.splitlines() == self.REPORT_20_SEED_0
+
+    def test_state_draws_pass_through_random_state(self, monkeypatch, capsys):
+        # the public function the tracer wraps sees every seeded stack the battery draws
+        draw, calls = sampling.random_state, []
+
+        def counted(g):
+            calls.append(g)
+            return draw(g)
+
+        monkeypatch.setattr(sampling, "random_state", counted)
+        assert main(["verify", "--trials", "20", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == "\n".join(self.REPORT_20_SEED_0) + "\n"
+        evens, firsts = ([sampling.SeededGenerator(0, step * k) for k in range(20)] for step in (2, 1))
+        assert calls == [evens, firsts, firsts]  # maximality, four_criteria, steer_implies_teleport
 
     def test_multi_stack_report_is_pinned(self, capsys):
         # empirical_f3_sup sweeps maximality's 100 states in more than one stack

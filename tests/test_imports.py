@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and read no private name of
+one another."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -23,3 +24,26 @@ def test_module_graph_is_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def _private_reads(path: Path) -> list[str]:
+    """`x._name` reads in path of a sibling module x imported by `from . import x`."""
+    tree = ast.parse(path.read_text())
+    siblings = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    return [
+        f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+
+
+def test_no_module_reads_a_private_name_of_another():
+    reads = [read for path in sorted(PACKAGE.glob("*.py")) for read in _private_reads(path)]
+    assert not reads, "private reads: " + ", ".join(reads)

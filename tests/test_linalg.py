@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import checks, errors, linalg, sampling
+from steerability import errors, linalg, sampling
 
 # Eigendecomposition reconstruction bound (max-norm of V diag(w) V^dagger - A).
 RECON_TOL = 1e-9
@@ -115,7 +115,7 @@ def test_square_rounds_like_python_float_pow():
 
 
 def test_density_spectrum_invariant_under_conjugation():
-    rhos = checks._draws(100, range(50))
+    rhos = sampling.random_state([sampling.SeededGenerator(100, k) for k in range(50)])
     U = np.stack([sampling.haar_from_rng(sampling.SeededGenerator(101, k).rng()) for k in range(50)])
     w1 = linalg.hermitian_eigensystem(rhos).eigenvalues
     w2 = linalg.hermitian_eigensystem(U @ rhos @ np.swapaxes(U.conj(), -2, -1)).eigenvalues

@@ -82,7 +82,7 @@ class TestEmpiricalSup:
         assert sups[0] <= sups[1] <= sups[2]
 
     def test_never_beats_closed_form(self):
-        rhos = checks._draws(91, range(300))
+        rhos = sampling.random_state([sampling.SeededGenerator(91, k) for k in range(300)])
         bound = absolute.decide_aus3(rhos).f3_global_max
         gens = [sampling.SeededGenerator(92, k) for k in range(300)]
         assert np.all(sampling.empirical_f3_sup(rhos, 300, gens) <= bound + 1e-9)
@@ -122,7 +122,7 @@ class TestStackedSweep:
     def test_stack_equals_one_state_calls(self, trials, offset, seed):
         # stack sizes on both sides of the states the sweep puts in one stack
         size = max(1, max(1, sampling._SWEEP_UNITARIES // trials) + offset)
-        rhos = checks._draws(seed, range(size))
+        rhos = sampling.random_state([sampling.SeededGenerator(seed, k) for k in range(size)])
         gens = [sampling.SeededGenerator(seed, size + k) for k in range(size)]
         stacked = sampling.empirical_f3_sup(rhos, trials, gens)
         singles = [sampling.empirical_f3_sup(rho, trials, g) for rho, g in zip(rhos, gens)]
@@ -138,11 +138,12 @@ class TestStackedSweep:
         streams=st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
     )
     def test_draws_equal_per_stream_states(self, seed, streams):
-        expected = np.stack([
-            states.validate(sampling.states_from_rng(sampling.SeededGenerator(seed, k).rng()))
-            for k in streams
-        ])
-        assert checks._draws(seed, streams).tobytes() == expected.tobytes()
+        gens = [sampling.SeededGenerator(seed, k) for k in streams]
+        expected = np.stack([states.validate(sampling.states_from_rng(g.rng())) for g in gens])
+        assert sampling.random_state(gens).tobytes() == expected.tobytes()
+        assert sampling.random_state(gens[-1]).tobytes() == expected[-1].tobytes()
+        one = sampling.random_state(gens[:1])
+        assert one.shape == (1, 4, 4) and one.tobytes() == expected[0].tobytes()
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(n=st.integers(1, 150), seed=st.integers(0, 2**16))
@@ -170,7 +171,8 @@ class TestStackedSweep:
     @pytest.mark.parametrize("trials", [1, 170, 511, 512, 513, 4097])
     def test_sweep_bounds_the_unitaries_it_holds(self, trials):
         # a stack of 40 states holds at most max(512, min(trials, 4096)) unitaries at once
-        rhos, qr, shapes = checks._draws(3, range(40)), np.linalg.qr, []
+        rhos = sampling.random_state([sampling.SeededGenerator(3, k) for k in range(40)])
+        qr, shapes = np.linalg.qr, []
 
         def counted_qr(a, *args, **kwargs):
             shapes.append(a.shape)
@@ -300,10 +302,8 @@ def test_stack_and_scalar_paths_agree_exactly():
         for k, w in enumerate(grid):
             assert np.array_equal(werners[k], families.werner(w))
             assert np.array_equal(gisins[k], families.gisin(w, theta))
-    rhos = np.stack(
-        [sampling.random_state(sampling.SeededGenerator(93, k)) for k in range(50)]
-        + edge_states()
-    )
+    draws = sampling.random_state([sampling.SeededGenerator(93, k) for k in range(50)])
+    rhos = np.concatenate([draws, edge_states()])
     eps = 5e-11  # one member takes validate's clamp-and-renormalize path
     raw = np.concatenate([rhos, np.diag([0.5 + eps, 0.5, -eps, 0.0])[None]])
     validated = states.validate(raw)
@@ -376,9 +376,9 @@ def test_stack_error_names_the_bad_state(case, monkeypatch):
         kernel = states.validate
     else:
         error, kernel = errors.InternalInconsistency, absolute.decide_aus3
-        bad = states.PAULI_AB.copy()
-        bad[2, 2, 0, 0] *= -1
-        monkeypatch.setattr(states, "PAULI_AB", bad)
+        bad = states.PAULI_2Q.copy()
+        bad[3, 3, 0, 0] *= -1
+        monkeypatch.setattr(states, "PAULI_2Q", bad)
         stack[3] = rho
     with pytest.raises(error, match=r" \(state 3 of the stack\)$") as info:
         kernel(stack)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steerability import absolute, checks, errors, sampling, states
+from conftest import random_settings
+from steerability import absolute, errors, families, sampling, states, steering
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -123,13 +126,75 @@ class TestBloch:
 
     def test_purity_identity(self):
         # Tr rho^2 = (1 + |a|^2 + |b|^2 + ||T||_F^2) / 4
-        rhos = checks._draws(23, range(1000))
+        rhos = sampling.random_state([sampling.SeededGenerator(23, k) for k in range(1000)])
         form = states.to_bloch(rhos)
         lhs = np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
         rhs = (1 + np.sum(form.a**2, -1) + np.sum(form.b**2, -1) + np.sum(form.T**2, (-2, -1))) / 4
         assert np.all(np.abs(lhs - rhs) < 1e-10)
         assert np.all(np.linalg.norm(form.a, axis=-1) <= 1 + 1e-9)
         assert np.all(np.linalg.norm(form.b, axis=-1) <= 1 + 1e-9)
+
+
+# Reference tables s_i (x) I, I (x) s_j and s_i (x) s_j, one per Bloch block: the functions
+# that read slices of PAULI_2Q must give the bits of these contractions.
+_I2 = np.eye(2, dtype=complex)
+REF_A = np.stack([np.kron(s, _I2) for s in states.PAULI_1Q])
+REF_B = np.stack([np.kron(_I2, s) for s in states.PAULI_1Q])
+REF_AB = np.stack([[np.kron(si, sj) for sj in states.PAULI_1Q] for si in states.PAULI_1Q])
+CLAMPED = np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]).astype(complex)  # validate clamps it
+
+
+def reference_bloch(rho):
+    a = np.real(np.einsum("iab,...ba->...i", REF_A, rho))
+    b = np.real(np.einsum("iab,...ba->...i", REF_B, rho))
+    T = np.real(np.einsum("ijab,...ba->...ij", REF_AB, rho))
+    return a, b, T
+
+
+def reference_from_bloch(a, b, T):
+    M = np.eye(4, dtype=complex) + np.einsum("i,iab->ab", a, REF_A)
+    M = M + np.einsum("j,jab->ab", b, REF_B) + np.einsum("ij,ijab->ab", T, REF_AB)
+    return states.validate(M / 4.0)
+
+
+@st.composite
+def state_stacks(draw):
+    """Hilbert-Schmidt draws, Werner and Gisin states over drawn weights, and one
+    state that validate clamps, as one (n, 4, 4) stack."""
+    seed, size = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10)))
+    theta = draw(st.floats(1e-3, np.pi / 2 - 1e-3))
+    draws = sampling.random_state([sampling.SeededGenerator(seed, k) for k in range(size)])
+    family = [families.werner(weights), families.gisin(weights, theta)]
+    return np.concatenate([draws, *family, states.validate(CLAMPED)[None]])
+
+
+class TestPauliTable:
+    """to_bloch, from_bloch and steering_operator read PAULI_2Q and give the bits of the
+    reference tables."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(rhos=state_stacks())
+    def test_bloch_form_equals_the_three_table_contraction(self, rhos):
+        half = rhos[: len(rhos) // 2 * 2].reshape(2, -1, 4, 4)  # two leading axes
+        singles = [*rhos[::4], rhos[-1]]  # the last is the clamped state
+        for stack in (rhos, half, *singles):
+            form = states.to_bloch(stack)
+            got = (form.a.tobytes(), form.b.tobytes(), form.T.tobytes())
+            assert got == tuple(x.tobytes() for x in reference_bloch(stack))
+        for rho in singles:
+            form = states.to_bloch(rho)
+            expected = reference_from_bloch(*reference_bloch(rho))
+            assert states.from_bloch(form).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20))
+    def test_steering_operator_equals_the_reference(self, seed, count):
+        for _, mu in random_settings(np.random.default_rng(seed), count).values():
+            for setting in (mu, steering.MeasurementSetting(u=mu.u[0], v=mu.v[0])):
+                expected = np.einsum("...ij,...ik,jkab->...ab", setting.u, setting.v, REF_AB)
+                got = steering.steering_operator(setting)
+                assert got.tobytes() == (expected / np.sqrt(setting.n)).tobytes()
 
 
 class TestSpectrumReport:
@@ -159,7 +224,7 @@ class TestSpectrumReport:
         assert rep.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_report_identities(self):
-        rhos = checks._draws(24, range(200))
+        rhos = sampling.random_state([sampling.SeededGenerator(24, k) for k in range(200)])
         rep = states.spectrum_report(rhos)
         assert np.all(np.abs(np.sum(rep.eigenvalues, axis=-1) - 1) < 1e-10)
         assert np.all((0.25 - 1e-12 <= rep.purity) & (rep.purity <= 1 + 1e-12))

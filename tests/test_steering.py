@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_settings
-from steerability import checks, errors, sampling, states, steering
+from steerability import errors, sampling, states, steering
 
 AXES = np.eye(3)
 SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2.0
@@ -155,7 +155,8 @@ def _reference_equalized_frame(M, k, visited):
 
 def _correlation_frames(count):
     """T^t T for the correlation matrices T of count random states."""
-    T = states.to_bloch(checks._draws(47, range(count))).T
+    rhos = sampling.random_state([sampling.SeededGenerator(47, k) for k in range(count)])
+    T = states.to_bloch(rhos).T
     return np.swapaxes(T, -2, -1) @ T
 
 
@@ -204,7 +205,7 @@ class TestBound:
 
 class TestProperties:
     def test_f3_equals_frobenius_and_dominates_f2(self):
-        rhos = checks._draws(42, range(1000))
+        rhos = sampling.random_state([sampling.SeededGenerator(42, k) for k in range(1000)])
         T = states.to_bloch(rhos).T
         s = np.linalg.svd(T, compute_uv=False)
         f3 = steering.f3_max(rhos)
@@ -215,14 +216,14 @@ class TestProperties:
 
     def test_no_setting_beats_the_optimum(self):
         # 100 settings for each of 1,000 states; draw j belongs to state j // 100
-        rhos = checks._draws(44, range(1000))
+        rhos = sampling.random_state([sampling.SeededGenerator(44, k) for k in range(1000)])
         caps = {2: steering.f2_max(rhos), 3: steering.f3_max(rhos)}
         for n, (positions, mu) in random_settings(np.random.default_rng(43), 100_000).items():
             owner = positions // 100
             assert np.all(steering.steering_functional(rhos[owner], mu) <= caps[n][owner] + 1e-9)
 
     def test_local_unitary_invariance(self):
-        rhos = checks._draws(45, range(200))
+        rhos = sampling.random_state([sampling.SeededGenerator(45, k) for k in range(200)])
         rngs = [sampling.SeededGenerator(46, k).rng() for k in range(200)]
         pairs = [[sampling.haar_from_rng(rng, dim=2) for _ in range(2)] for rng in rngs]
         local = np.stack([np.kron(ua, ub) for ua, ub in pairs])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerability import checks, linalg, steering, teleport
+from steerability import linalg, sampling, steering, teleport
 from steerability.states import to_bloch
 
 MIXED = np.eye(4) / 4
@@ -50,7 +50,7 @@ class TestImplication:
 
 class TestProperties:
     def test_random_state_inequalities(self):
-        rhos = checks._draws(61, range(10_000))
+        rhos = sampling.random_state([sampling.SeededGenerator(61, k) for k in range(10_000)])
         aux = teleport.aux_criteria(rhos)
         f3 = steering.f3_max(rhos)
         assert np.all(f3 <= aux.N + 1e-10)

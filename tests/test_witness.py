@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_settings
-from steerability import absolute, checks, errors, families, sampling, steering, witness
+from steerability import absolute, errors, families, sampling, steering, witness
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,7 +42,7 @@ class TestSteeringOperator:
         assert np.all(np.abs(np.trace(S @ MIXED, axis1=-2, axis2=-1)) < 1e-14)
 
     def test_reproduces_signed_functional(self):
-        rhos = checks._draws(74, range(100))
+        rhos = sampling.random_state([sampling.SeededGenerator(74, k) for k in range(100)])
         _, mu = random_settings(np.random.default_rng(73), 100, n=3)[3]
         signed = np.trace(witness.steering_operator(mu) @ rhos, axis1=-2, axis2=-1).real
         assert np.all(np.abs(np.abs(signed) - steering.steering_functional(rhos, mu)) < 1e-10)
