@@ -77,7 +77,6 @@ def decide_aus3(rho: np.ndarray) -> AbsoluteVerdict:
     InternalInconsistency (naming the state, in a stack) rather than silently
     picking a winner.  Membership is orbit_safe of the Frobenius purity.
     """
-    rho = np.asarray(rho, dtype=complex)
     return verdict_of(rho, hermitian_eigensystem(rho).eigenvalues, states.to_bloch(rho))
 
 

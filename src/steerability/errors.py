@@ -14,7 +14,7 @@ class NotUnitTrace(ValueError):
 
 
 class NotPositive(ValueError):
-    """Matrix has an eigenvalue below the admissible negative window."""
+    """Non-finite entry, entry beyond 2 in magnitude, or eigenvalue below the negative window."""
 
 
 class InvalidSetting(ValueError):

@@ -78,8 +78,8 @@ def singular_values_3x3(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {T.shape}")
-    if not np.all(np.isfinite(T)):
-        raise ValueError("matrix entries must be finite")
+    if (i := first_failure(np.isfinite(T).all(axis=(-2, -1)))) is not None:
+        raise ValueError(f"matrix entries must be finite{at_state(i)}")
     u = np.linalg.eigvalsh(np.swapaxes(T, -2, -1) @ T)
     return np.sqrt(np.clip(u[..., ::-1], 0.0, None))
 

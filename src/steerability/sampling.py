@@ -97,11 +97,11 @@ def states_from_rng(rng: np.random.Generator, size: int | None = None) -> np.nda
 
 
 def random_state(g: SeededGenerator | list[SeededGenerator]) -> np.ndarray:
-    """First Hilbert-Schmidt random state of the stream, validated; for a list of n streams,
-    the (n, 4, 4) stack of their first states, each bit for bit as drawn alone."""
-    if isinstance(g, SeededGenerator):
-        return states.validate(states_from_rng(g.rng()))
-    return states.validate(_hilbert_schmidt(np.stack([_ginibre(one.rng(), (4, 4)) for one in g])))
+    """First Hilbert-Schmidt random state of the stream, validated, drawn as a one-element list;
+    for a list of n streams, the (n, 4, 4) stack of their first states, each as drawn alone."""
+    streams = [g] if isinstance(g, SeededGenerator) else g
+    rhos = states.validate(_hilbert_schmidt(np.stack([_ginibre(one.rng(), (4, 4)) for one in streams])))
+    return rhos[0] if isinstance(g, SeededGenerator) else rhos
 
 
 def empirical_f3_sup(

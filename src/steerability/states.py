@@ -69,18 +69,18 @@ class SpectrumReport:
 def validate(M: np.ndarray) -> np.ndarray:
     """Check a 4x4 matrix or (..., 4, 4) stack for state-hood and return it (cleaned).
 
-    Hermiticity and unit trace are required within 1e-10.  Eigenvalues in
-    [-1e-10, 0) are treated as round-off: they are clamped to zero and the
-    state is renormalized.  Anything more negative raises NotPositive, as does an
-    entry beyond 2 in magnitude (a state's lie in the unit disc), checked before
-    the eigensolve, which may not converge on it.  In a stack, the first failing
-    state is named by its index.
+    A non-finite entry raises NotPositive first.  Hermiticity and unit trace are
+    required within 1e-10.  Eigenvalues in [-1e-10, 0) are treated as round-off:
+    they are clamped to zero and the state is renormalized.  Anything more negative
+    raises NotPositive, as does an entry beyond 2 in magnitude (a state's lie in the
+    unit disc), checked before the eigensolve, which may not converge on it.  In a
+    stack, the first failing state is named by its index.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+    if (i := first_failure(np.isfinite(M).all(axis=(-2, -1)))) is not None:
+        raise NotPositive(f"non-finite matrix entry, so it describes no state{at_state(i)}")
     H = np.swapaxes(M.conj(), -2, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
         dev = np.abs(M - H).max(axis=(-2, -1))
@@ -118,7 +118,7 @@ def to_bloch(rho: np.ndarray) -> BlochForm:
 def from_bloch(form: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from Bloch data; inverse of to_bloch.
 
-    Raises NotPositive when the data does not describe a state.
+    validate raises NotPositive when the data describes no state, an overflowing sum included.
     """
     a = np.asarray(form.a, dtype=float)
     b = np.asarray(form.b, dtype=float)
@@ -130,8 +130,6 @@ def from_bloch(form: BlochForm) -> np.ndarray:
             + np.einsum("j,jab->ab", b, PAULI_2Q[0, 1:])
             + np.einsum("ij,ijab->ab", T, PAULI_2Q[1:, 1:])
         ) / 4.0
-    if not np.all(np.isfinite(M)):
-        raise NotPositive("Bloch data gives a non-finite matrix, so it describes no state")
     return validate(M)
 
 
@@ -141,7 +139,6 @@ def spectrum_report(rho: np.ndarray) -> SpectrumReport:
     Purity is computed both spectrally and as the squared Frobenius norm;
     disagreement beyond 1e-10 raises InternalInconsistency naming the state.
     """
-    rho = np.asarray(rho, dtype=complex)
     return spectrum_of(rho, hermitian_eigensystem(rho).eigenvalues)
 
 

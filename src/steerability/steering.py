@@ -68,7 +68,6 @@ def steering_functional(rho: np.ndarray, mu: MeasurementSetting) -> float | np.n
     The signed Bloch-level sum u_i^t T v_i must match the direct operator trace;
     a mismatch beyond 1e-10 means a convention bug somewhere.
     """
-    rho = np.asarray(rho, dtype=complex)
     T = states.to_bloch(rho).T
     bloch = np.einsum("...ij,...jk,...ik->...", mu.u, T, mu.v) / np.sqrt(mu.n)
     direct = np.real(np.trace(steering_operator(mu) @ rho, axis1=-2, axis2=-1))

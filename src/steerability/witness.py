@@ -43,7 +43,6 @@ def activation_witness(sigma: np.ndarray) -> WitnessOperator:
     Raises NotActivatable when sigma is orbit-safe (the same test as
     decide_aus3), in which case no such operator exists.
     """
-    sigma = np.asarray(sigma, dtype=complex)
     return witness_of(sigma, absolute.bell_diagonal_canonical(sigma))
 
 

@@ -20,6 +20,10 @@ class TestGlobalMax:
         got = absolute.f3_global_max([2 / 3, 1 / 6, 1 / 6, 0])
         assert got == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="^expected 4 eigenvalues, got shape \\(3,\\)$"):
+            absolute.f3_global_max([0.5, 0.25, 0.25])
+
     def test_accepts_spectrum_report(self):
         rep = states.spectrum_report(SINGLET)
         assert absolute.f3_global_max(rep.eigenvalues) == pytest.approx(np.sqrt(3), abs=1e-12)
@@ -207,3 +211,10 @@ class TestReducedPairs:
         for v in verdicts.values():
             assert not v.in_aus3
             assert v.f3_global_max**2 == pytest.approx(11 / 9, abs=1e-9)
+
+    def test_wrong_lone_qubit_norm_is_inconsistent(self, monkeypatch):
+        # the GHZ pairs have best^2 = 1, which a lone-qubit Bloch length of 1 contradicts
+        monkeypatch.setattr(states, "single_qubit_bloch_norm", lambda psi, which: 1.0)
+        message = r"^pair AB: best\^2 = \S+, expected 1 \+ 2 l\^2 = 3$"
+        with pytest.raises(errors.InternalInconsistency, match=message):
+            absolute.reduced_pair_verdict(families.GHZ_STATE)

@@ -400,6 +400,8 @@ _OFF_DIAGONAL[0, 1], _OFF_DIAGONAL[1, 0] = 1e308, -1e308
         pytest.param(matrix_record(np.diag([1e308, 1e308, -1e308, -1e308])), id="matrix-overflowing-trace"),
         pytest.param(matrix_record(_OFF_DIAGONAL), id="matrix-overflowing-hermiticity"),
         pytest.param(matrix_record(UNCONVERGED), id="matrix-eigensolve-unconverged"),
+        pytest.param({"format": "bloch", "a": [0, 0, 1e308], "b": [0, 0, 1e308],
+                      "T": np.diag([0, 0, 1e308]).tolist()}, id="bloch-overflowing"),
     ],
 )
 def test_bad_state_exits_3_with_one_line(tmp_path, capsys, record):

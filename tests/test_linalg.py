@@ -50,6 +50,15 @@ def test_rejects_wrong_shape():
         linalg.hermitian_eigensystem(np.eye(3))
 
 
+def test_failed_eigensolve_raises_no_convergence(monkeypatch):
+    def unconverged(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    with pytest.raises(errors.NoConvergence, match="^Eigenvalues did not converge$"):
+        linalg.hermitian_eigensystem(np.eye(4) / 4)
+
+
 def test_random_hermitian_contracts():
     rng = np.random.default_rng(11)
     A = np.stack([random_hermitian(rng) for _ in range(1000)])
@@ -85,6 +94,23 @@ def test_singular_values_werner_correlation():
     )
     assert np.allclose(T, -p * np.eye(3), atol=1e-12)
     assert np.allclose(linalg.singular_values_3x3(T), [p, p, p], atol=1e-12)
+
+
+def test_singular_values_reject_wrong_shape():
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        linalg.singular_values_3x3(np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_singular_values_name_the_first_non_finite_matrix(bad):
+    T = np.eye(3)
+    T[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        linalg.singular_values_3x3(T)
+    stack = np.stack([np.eye(3)] * 5)
+    stack[2] = stack[4] = T
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(state 2 of the stack\)$"):
+        linalg.singular_values_3x3(stack)
 
 
 def test_singular_values_match_svd_and_frobenius():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_settings
-from steerability import absolute, errors, families, sampling, states, steering
+from steerability import absolute, errors, families, linalg, sampling, states, steering
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -54,6 +54,22 @@ class TestValidate:
     def test_rejects_wrong_trace(self):
         with pytest.raises(errors.NotUnitTrace):
             states.validate(np.eye(4, dtype=complex) / 2)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            states.validate(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_is_no_state(self, bad):
+        # one non-finite entry also breaks Hermiticity; the finiteness rule comes first
+        M = np.eye(4, dtype=complex) / 4
+        M[1, 2] = bad
+        with pytest.raises(errors.NotPositive, match="^non-finite matrix entry, so it describes no state$"):
+            states.validate(M)
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 5)
+        stack[2] = stack[4] = M
+        with pytest.raises(errors.NotPositive, match=r"no state \(state 2 of the stack\)$"):
+            states.validate(stack)
 
     def test_clamps_roundoff_negative(self):
         eps = 5e-11
@@ -232,6 +248,16 @@ class TestSpectrumReport:
         lhs = absolute.decide_aus3(rhos).spectrum_lhs
         assert np.all(np.abs((lhs + 1) / 4 - rep.purity) < 1e-10)
 
+    def test_spectrum_of_rejects_another_states_eigenvalues(self):
+        singlet = linalg.hermitian_eigensystem(SINGLET).eigenvalues
+        message = r"^spectral purity \S+ vs Frobenius purity 0.25$"
+        with pytest.raises(errors.InternalInconsistency, match=message):
+            states.spectrum_of(np.eye(4) / 4, singlet)
+        stack = np.stack([SINGLET] * 3)
+        stack[1] = np.eye(4) / 4
+        with pytest.raises(errors.InternalInconsistency, match=r" \(state 1 of the stack\)$"):
+            states.spectrum_of(stack, np.stack([singlet] * 3))
+
 
 class TestThreeQubit:
     def test_ghz_reduction(self):
@@ -271,6 +297,14 @@ class TestThreeQubit:
             states.reduce_to_pair(np.ones(8), "AB")
         with pytest.raises(ValueError):
             states.reduce_to_pair(np.zeros(8), "AB")
+
+    def test_rejects_wrong_amplitude_count(self):
+        with pytest.raises(ValueError, match="^expected 8 amplitudes, got shape \\(4,\\)$"):
+            states.reduce_to_pair(np.ones(4) / 2, "AB")
+
+    def test_rejects_bad_qubit(self):
+        with pytest.raises(ValueError, match="^which must be 'A', 'B' or 'C', got 'D'$"):
+            states.single_qubit_bloch_norm(families.GHZ_STATE, "D")
 
     def test_rejects_bad_pair(self):
         psi = np.zeros(8, dtype=complex)

@@ -64,6 +64,18 @@ class TestFunctional:
         assert got == pytest.approx(np.sqrt(3), abs=1e-12)
         assert got > 1.0
 
+    def test_bloch_and_trace_evaluations_must_agree(self, monkeypatch):
+        to_bloch = states.to_bloch
+
+        def shifted(rho):
+            form = to_bloch(rho)
+            return states.BlochForm(a=form.a, b=form.b, T=form.T + 1e-6)
+
+        monkeypatch.setattr(states, "to_bloch", shifted)
+        mu = steering.MeasurementSetting(u=np.eye(3), v=np.eye(3))
+        with pytest.raises(errors.InternalInconsistency, match="^Bloch evaluation .* vs trace evaluation "):
+            steering.steering_functional(SINGLET, mu)
+
 
 class TestOptima:
     def test_f3_werner_linear(self):
@@ -102,6 +114,11 @@ class TestOptimalDirections:
     def test_maximally_mixed_any_frame(self):
         mu = steering.optimal_directions(MIXED, 3)
         assert steering.steering_functional(MIXED, mu) == pytest.approx(0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(errors.InvalidSetting, match=f"^n must be 2 or 3, got {n}$"):
+            steering.optimal_directions(SINGLET, n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_achieves_optimum_on_random_states(self, n):
