@@ -69,12 +69,12 @@ class SpectrumReport:
 def validate(M: np.ndarray) -> np.ndarray:
     """Check a 4x4 matrix or (..., 4, 4) stack for state-hood and return it (cleaned).
 
-    A non-finite entry raises NotPositive first.  Hermiticity and unit trace are
-    required within 1e-10.  Eigenvalues in [-1e-10, 0) are treated as round-off:
-    they are clamped to zero and the state is renormalized.  Anything more negative
-    raises NotPositive, as does an entry beyond 2 in magnitude (a state's lie in the
-    unit disc), checked before the eigensolve, which may not converge on it.  In a
-    stack, the first failing state is named by its index.
+    A non-finite entry raises NotPositive first.  Hermiticity and unit trace are required within
+    1e-10; the state returned is the Hermitian part (M + M^dagger)/2 whose magnitude and spectrum
+    are checked, so every later route reads one matrix.  Eigenvalues in [-1e-10, 0) are round-off:
+    they are clamped to zero and the state is renormalized.  Anything more negative raises
+    NotPositive, as does an entry beyond 2 in magnitude (a state's lie in the unit disc), checked
+    before the eigensolve, which may not converge on it.  A stack names its first failing state.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-2:] != (4, 4):
@@ -102,8 +102,8 @@ def validate(M: np.ndarray) -> np.ndarray:
         V = sys.eigenvectors
         R = (V * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(V.conj(), -2, -1)
         R = R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None]
-        M = np.where(clamp[..., None, None], R, M)
-    return M
+        mean = np.where(clamp[..., None, None], R, mean)
+    return mean
 
 
 def to_bloch(rho: np.ndarray) -> BlochForm:

@@ -1,8 +1,15 @@
 import warnings
 
 import numpy as np
+from hypothesis import settings
 
 from steerability import steering
+
+# Property tests run without a deadline, since timings vary on a shared machine, and
+# without the example database, so a run depends on its code alone; each test sets
+# only its max_examples.
+settings.register_profile("steerability", deadline=None, database=None)
+settings.load_profile("steerability")
 
 # The hypothesis plugin imports this module when it reports a failing example, and the
 # import warns through mypy_extensions; with the "error" warning filter that warning

@@ -160,7 +160,7 @@ class TestBoundaryPolicy:
         assert absolute.orbit_safe(0.5 + absolute.BOUNDARY_TOL)
         assert not absolute.orbit_safe(0.5 + 2 * absolute.BOUNDARY_TOL)
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(
         family=st.sampled_from(["werner", "gisin"]),
         delta=st.floats(-1e-8, 1e-8),

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNCONVERGED
-from steerability import absolute, checks, cli, families, sampling, states
+from steerability import absolute, checks, cli, families, linalg, sampling, states
 from steerability.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -146,12 +146,23 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", sorted(f.stem for f in (DATA / "analyze").glob("*.json")))
     def test_report_is_pinned(self, name, monkeypatch, capsys):
-        # eight of the thirteen states are activatable, so their witness_expectation
+        # nine of the fourteen states are activatable, so their witness_expectation
         # lines are pinned too; bloch_on_every_threshold has F3 = N = M = 1 exactly, so
         # its verdicts pin each threshold's strict or non-strict side
         monkeypatch.chdir(DATA / "analyze")
         assert main(["analyze", "--in", f"{name}.json"]) == 0
         assert capsys.readouterr().out == (DATA / "analyze" / f"{name}.txt").read_text()
+
+    def test_near_hermitian_matrix_reports_in_a_fresh_process(self):
+        # 0.9|++><++| + 0.1 I/4 with its strict upper triangle raised by 0.99 HERM_TOL: it
+        # is read as its Hermitian part, so every purity route sees the same matrix
+        fresh = subprocess.run(
+            [sys.executable, "-m", "steerability.cli", "analyze", "--in", "matrix_near_hermitian.json"],
+            cwd=DATA / "analyze", env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert fresh.stdout == (DATA / "analyze" / "matrix_near_hermitian.txt").read_text()
 
     @pytest.mark.parametrize("name, activatable", [("werner_safe", False), ("gisin_activatable", True)])
     def test_one_computation_per_shared_input(self, name, activatable, monkeypatch, capsys):
@@ -423,6 +434,19 @@ def _fixed(n, element):
     return st.lists(element, min_size=n, max_size=n)
 
 
+class _ValidState(dict):
+    """A state record that analyze must report (exit 0)."""
+
+
+def _near_hermitian(seed, scale):
+    """The state of SeededGenerator(seed) with its strict upper triangle moved along each
+    entry's phase by scale * HERM_TOL: Hermitian within the window, not exactly."""
+    rho = sampling.random_state(sampling.SeededGenerator(seed))
+    upper = np.triu_indices(4, 1)
+    rho[upper] += scale * linalg.HERM_TOL * np.exp(1j * np.angle(rho[upper]))
+    return _ValidState(matrix_record(rho))
+
+
 _X_WEIGHTS = st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.5, 0, 0, 0.5), (0, 0.5, 0.5, 0), (1, 0, 0, 0)])
 _RECORDS = st.one_of(
     st.fixed_dictionaries(
@@ -441,16 +465,18 @@ _RECORDS = st.one_of(
     st.tuples(_X_WEIGHTS | _fixed(4, _JSON_LEAF), _fixed(2, st.floats())).map(lambda v: {
         "format": "family", "family": "xstate",
         "parameters": {f"v{k}": x for k, x in enumerate([*v[0], *v[1]], start=1)}}),
+    st.builds(_near_hermitian, st.integers(0, 2**32 - 1), st.floats(0.0, 0.99)),
     _JSON,
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(record=_RECORDS)
 def test_state_file_parser_never_crashes(tmp_path_factory, record):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
     path.write_text(json.dumps(record))
-    assert main(["analyze", "--in", str(path), "--out", str(path.with_suffix(".txt"))]) in (0, 2, 3)
+    code = main(["analyze", "--in", str(path), "--out", str(path.with_suffix(".txt"))])
+    assert code in ((0,) if isinstance(record, _ValidState) else (0, 2, 3))
 
 
 class TestUsage:

@@ -182,7 +182,7 @@ class TestRefinement:
     """scan_family decides REFINE_LEVELS bisection levels per stack and keeps the walk of
     one decide_aus3 call per step."""
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(
         family=st.sampled_from(["werner", "gisin"]),
         offsets=st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=31),
@@ -197,7 +197,7 @@ class TestRefinement:
             expected = np.array([getattr(one, name) for one in singles])
             assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         family=st.sampled_from(["werner", "gisin"]),
         start=st.floats(0.0, 0.65),
@@ -234,7 +234,7 @@ class TestRefinement:
         assert len(calls) == grid_calls + math.ceil(len(steps) / families.REFINE_LEVELS)
         assert all(shape[0] <= 2**families.REFINE_LEVELS - 1 for shape in calls[grid_calls:])
 
-    @settings(max_examples=80, deadline=None, database=None)
+    @settings(max_examples=80)
     @given(
         ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
         bias=st.sampled_from([64, 128, 192, 240]),

@@ -113,7 +113,7 @@ class TestStackedSweep:
     """empirical_f3_sup on a stack gives the bits of its states one at a time, and
     sweeps max(1, _SWEEP_UNITARIES // trials) states per stack."""
 
-    @settings(max_examples=16, deadline=None, database=None)
+    @settings(max_examples=16)
     @given(
         trials=st.sampled_from([1, 20, 4096, 4097]),  # one chunk, two chunks past 4096
         offset=st.integers(-2, 2),
@@ -132,7 +132,7 @@ class TestStackedSweep:
             square = rhos.reshape(2, size // 2, 4, 4)
             assert sampling.empirical_f3_sup(square, trials, gens).tobytes() == stacked.tobytes()
 
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(
         seed=st.integers(0, 2**32 - 1),
         streams=st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
@@ -145,7 +145,7 @@ class TestStackedSweep:
         one = sampling.random_state(gens[:1])
         assert one.shape == (1, 4, 4) and one.tobytes() == expected[0].tobytes()
 
-    @settings(max_examples=15, deadline=None, database=None)
+    @settings(max_examples=15)
     @given(n=st.integers(1, 150), seed=st.integers(0, 2**16))
     def test_maximality_makes_one_call_and_one_qr_per_stack(self, n, seed):
         sweep, qr, sizes, shapes = sampling.empirical_f3_sup, np.linalg.qr, [], []
@@ -236,7 +236,7 @@ class TestFastPurity:
     """aus3_volume_estimate reads purities from the Ginibre draws (_hs_purity) and decides
     the states within _HS_GUARD of 1/2 from rho, so its counts equal the rho-based test's."""
 
-    @settings(max_examples=12, deadline=None, database=None)
+    @settings(max_examples=12)
     @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 8191, 8192, 8193]))
     def test_verdict_equals_the_rho_based_one(self, seed, size):
         ginibre = sampling._ginibre(sampling.SeededGenerator(seed).rng(), (size, 4, 4))

@@ -189,7 +189,7 @@ class TestPauliTable:
     """to_bloch, from_bloch and steering_operator read PAULI_2Q and give the bits of the
     reference tables."""
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(rhos=state_stacks())
     def test_bloch_form_equals_the_three_table_contraction(self, rhos):
         half = rhos[: len(rhos) // 2 * 2].reshape(2, -1, 4, 4)  # two leading axes
@@ -203,7 +203,7 @@ class TestPauliTable:
             expected = reference_from_bloch(*reference_bloch(rho))
             assert states.from_bloch(form).tobytes() == expected.tobytes()
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20))
     def test_steering_operator_equals_the_reference(self, seed, count):
         for _, mu in random_settings(np.random.default_rng(seed), count).values():
