@@ -47,6 +47,7 @@ from .steering import (
     jm_bound_check,
     optimal_directions,
     steering_functional,
+    steering_operator,
 )
 from .absolute import (
     AbsoluteVerdict,
@@ -58,7 +59,7 @@ from .absolute import (
     reduced_pair_verdict,
 )
 from .teleport import AuxCriteria, aux_criteria, steer_implies_teleport_check
-from .witness import WitnessOperator, activation_witness, steering_operator, steering_witness
+from .witness import WitnessOperator, activation_witness, steering_witness
 from .sampling import (
     SeededGenerator,
     aus3_volume_estimate,

@@ -133,7 +133,7 @@ def bell_diagonal_canonical(rho: np.ndarray) -> BellDiagonalState:
 def frobenius_ball_check(rho: np.ndarray) -> bool:
     """True when rho lies in the Frobenius ball of radius 1/2 around I/4:
     ||rho - I/4||^2 = Tr(rho^2) - 1/4, judged on decide_aus3's purity, bit for bit."""
-    return orbit_safe(square(frobenius_norm(np.asarray(rho, dtype=complex))))
+    return orbit_safe(square(frobenius_norm(rho)))
 
 
 def reduced_pair_verdict(psi: np.ndarray) -> dict[str, AbsoluteVerdict]:

@@ -99,8 +99,8 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
     with all quadratic forms v_i^t M v_i equal to their mean.
 
     Works by pinning diagonal entries of the k x k restriction one at a time
-    with plane rotations; possible because the target is majorized by the
-    eigenvalues.
+    with plane rotations, possible because the target is majorized by the
+    eigenvalues; it stops once their spread is at most 1e-12 of the largest.
     """
     w, W = np.linalg.eigh(M)
     W = W[:, ::-1][:, :k]          # top-k eigenvectors, descending
@@ -111,7 +111,7 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
         d = np.diag(D)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
-        if d[hi] - d[lo] <= 1e-15:
+        if d[hi] - d[lo] <= 1e-12 * d[hi]:
             break
         # Rotate in the (hi, lo) plane until entry hi equals the mean; entry hi is at
         # or above it at theta = 0 and at or below it at pi/2, so bisection on the angle
@@ -136,12 +136,12 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
 
 
 def optimal_directions(rho: np.ndarray, n: int) -> MeasurementSetting:
-    """Directions attaining the measurement-optimal functional value.
+    """Directions attaining the measurement-optimal functional value at every scale of T.
 
     The v_i span the top-n right-singular subspace of T, rotated so each
     |T v_i| carries an equal share of the attainable correlation weight;
-    u_i = T v_i / |T v_i|.  When T vanishes on that subspace the functional
-    is 0 and the coordinate axes are returned as a placeholder frame.
+    u_i = T v_i / |T v_i|.  When every |T v_i| < 1e-12 (T vanishes on that
+    subspace) the coordinate axes are returned as a placeholder frame.
     """
     if n not in (2, 3):
         raise InvalidSetting(f"n must be 2 or 3, got {n}")
@@ -153,8 +153,4 @@ def optimal_directions(rho: np.ndarray, n: int) -> MeasurementSetting:
     if np.all(lengths < 1e-12):
         frame = np.eye(3)[:n]
         return MeasurementSetting(u=frame, v=frame)
-    # |T v_i| are equal by construction, so a degenerate row only occurs alongside
-    # an (all-degenerate) zero restriction handled above; mask it all the same.
-    ok = lengths >= 1e-12
-    u = np.where(ok[:, None], Tv, np.eye(3)[:n]) / np.where(ok, lengths, 1.0)[:, None]
-    return MeasurementSetting(u=u, v=v)
+    return MeasurementSetting(u=Tv / lengths[:, None], v=v)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NotActivatable
 from . import absolute, steering
-from .steering import steering_operator
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ def steering_witness(mu: steering.MeasurementSetting) -> np.ndarray:
     Directions with the opposite sign of S are themselves a valid setting
     (flip every u_i), so sign selection is left to the caller choosing mu.
     """
-    return np.eye(4, dtype=complex) - steering_operator(mu)
+    return np.eye(4, dtype=complex) - steering.steering_operator(mu)
 
 
 def activation_witness(sigma: np.ndarray) -> WitnessOperator:

@@ -1,9 +1,11 @@
-"""The package's modules import one another without a cycle, and read no private name of
-one another."""
+"""The package's modules import one another without a cycle and read no private name of
+one another, and the package exports each public name from the module that defines it."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import steerability
 
 PACKAGE = Path(__file__).parents[1] / "src" / "steerability"
 
@@ -47,3 +49,18 @@ def _private_reads(path: Path) -> list[str]:
 def test_no_module_reads_a_private_name_of_another():
     reads = [read for path in sorted(PACKAGE.glob("*.py")) for read in _private_reads(path)]
     assert not reads, "private reads: " + ", ".join(reads)
+
+
+def test_each_public_name_is_exported_from_its_home():
+    # `from .m import name` in __init__ must name the module that defines each callable,
+    # so every public function and class has one home and no module re-exports another's
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    strays = [
+        f"{alias.name} from .{node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if callable(obj := getattr(steerability, alias.asname or alias.name))
+        and obj.__module__ != f"steerability.{node.module}"
+    ]
+    assert not strays, "exported away from home: " + ", ".join(strays)

@@ -129,6 +129,30 @@ class TestOptimalDirections:
             got = steering.steering_functional(rho, mu)
             assert abs(got - best(rho)) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_optimal_directions_attain_the_optimum_at_every_scale(self, scale, n):
+        # the equalizing stop is relative to the frame's scale, so weakly correlated
+        # states get equal |T v_i| too and reach the optimum, not a share of it
+        best = steering.f2_max if n == 2 else steering.f3_max
+        for rho in _scaled_states(scale):
+            got = steering.steering_functional(rho, steering.optimal_directions(rho, n))
+            assert abs(got - best(rho)) <= 1e-12 * best(rho)
+
+
+def _random_states(seed, count):
+    """Stack of the first states of count seeded streams."""
+    return sampling.random_state([sampling.SeededGenerator(seed, k) for k in range(count)])
+
+
+def _scaled_states(scale, count=200):
+    """count seeded states with their Bloch data a, b and T multiplied by scale."""
+    form = states.to_bloch(_random_states(90, count))
+    return [
+        states.from_bloch(states.BlochForm(a=scale * a, b=scale * b, T=scale * T))
+        for a, b, T in zip(form.a, form.b, form.T)
+    ]
+
 
 def _reference_equalized_frame(M, k, visited):
     """The 80-step bisection on numpy scalars that steering._equalized_frame must
@@ -142,7 +166,7 @@ def _reference_equalized_frame(M, k, visited):
         d = np.diag(D)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
-        if d[hi] - d[lo] <= 1e-15:
+        if d[hi] - d[lo] <= 1e-12 * d[hi]:
             break
 
         def pinned(theta):
@@ -170,9 +194,8 @@ def _reference_equalized_frame(M, k, visited):
     return V
 
 
-def _correlation_frames(count):
-    """T^t T for the correlation matrices T of count random states."""
-    rhos = sampling.random_state([sampling.SeededGenerator(47, k) for k in range(count)])
+def _correlation_frames(rhos):
+    """T^t T for the correlation matrices T of a stack of states."""
     T = states.to_bloch(rhos).T
     return np.swapaxes(T, -2, -1) @ T
 
@@ -181,9 +204,10 @@ class TestEqualizedFrame:
     def test_math_trig_rounds_like_numpy_scalars(self):
         # the bisection evaluates math.cos/math.sin where it evaluated np.cos/np.sin
         # on numpy scalars; the two must agree on uniform angles and on every
-        # angle the bisection visits
+        # angle the bisection visits, on frames of weakly correlated states too
         visited = []
-        for M in _correlation_frames(500):
+        scaled = [_scaled_states(scale, 100) for scale in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10)]
+        for M in _correlation_frames(np.concatenate([_random_states(47, 500), *scaled])):
             for k in (2, 3):
                 _reference_equalized_frame(M, k, visited)
         uniform = np.random.default_rng(48).uniform(0.0, np.pi / 2, 200_000).tolist()
@@ -198,8 +222,9 @@ class TestEqualizedFrame:
             -np.eye(3),
             np.outer([0.3, -0.5, 0.1], [0.2, 0.7, -0.4]),  # rank 1
             np.diag([0.6, 0.6, 0.2]),  # two equal eigenvalues
+            np.diag([1e-8, 0, 0]),  # weak: the frame's entries are all below 1e-15
         ],
-        ids=["zero", "minus_identity", "rank_1", "two_equal"],
+        ids=["zero", "minus_identity", "rank_1", "two_equal", "tiny"],
     )
     def test_degenerate_frames_match_the_reference(self, T):
         for k in (2, 3):
@@ -208,7 +233,7 @@ class TestEqualizedFrame:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_random_frames_match_the_reference(self, k):
-        for M in _correlation_frames(2000):
+        for M in _correlation_frames(_random_states(47, 2000)):
             got = steering._equalized_frame(M, k)
             assert got.tobytes() == _reference_equalized_frame(M, k, []).tobytes()
 

@@ -25,26 +25,26 @@ def sample_member(stream0):
 class TestSteeringOperator:
     def test_axes_assembly(self):
         mu = steering.MeasurementSetting(u=AXES, v=AXES)
-        S = witness.steering_operator(mu)
+        S = steering.steering_operator(mu)
         expected = (np.kron(X, X) + np.kron(Y, Y) + np.kron(Z, Z)) / np.sqrt(3)
         assert np.allclose(S, expected, atol=1e-14)
         assert np.trace(S @ SINGLET).real == pytest.approx(-np.sqrt(3), abs=1e-12)
 
     def test_two_setting_assembly(self):
         mu = steering.MeasurementSetting(u=AXES[[0, 2]], v=AXES[[0, 2]])
-        S = witness.steering_operator(mu)
+        S = steering.steering_operator(mu)
         expected = (np.kron(X, X) + np.kron(Z, Z)) / np.sqrt(2)
         assert np.allclose(S, expected, atol=1e-14)
 
     def test_traceless_against_maximally_mixed(self):
         _, mu = random_settings(np.random.default_rng(72), 20, n=3)[3]
-        S = witness.steering_operator(mu)
+        S = steering.steering_operator(mu)
         assert np.all(np.abs(np.trace(S @ MIXED, axis1=-2, axis2=-1)) < 1e-14)
 
     def test_reproduces_signed_functional(self):
         rhos = sampling.random_state([sampling.SeededGenerator(74, k) for k in range(100)])
         _, mu = random_settings(np.random.default_rng(73), 100, n=3)[3]
-        signed = np.trace(witness.steering_operator(mu) @ rhos, axis1=-2, axis2=-1).real
+        signed = np.trace(steering.steering_operator(mu) @ rhos, axis1=-2, axis2=-1).real
         assert np.all(np.abs(np.abs(signed) - steering.steering_functional(rhos, mu)) < 1e-10)
 
 
