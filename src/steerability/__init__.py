@@ -40,11 +40,9 @@ from .states import (
     validate,
 )
 from .steering import (
-    JM_BOUND,
     MeasurementSetting,
     f2_max,
     f3_max,
-    jm_bound_check,
     optimal_directions,
     steering_functional,
     steering_operator,

@@ -24,9 +24,6 @@ SCANNABLE = ("werner", "gisin")
 #: States built and decided per stack in scan_family (bounds its peak memory).
 SCAN_CHUNK = 8192
 
-#: Bisection levels of scan_family's threshold refinement decided per stack.
-REFINE_LEVELS = 5
-
 GHZ_STATE = np.zeros(8, dtype=complex)
 GHZ_STATE[0] = GHZ_STATE[7] = 1 / np.sqrt(2.0)
 
@@ -86,28 +83,38 @@ def x_state(v1: float, v2: float, v3: float, v4: float, v5: float, v6: float) ->
     return states.validate(M)
 
 
-def _lookahead(above_all, lo: float, hi: float):
-    """A bisect predicate on [lo, hi] from above_all, which answers a float array entry by entry.
+def _predicted_walk(values_of, lo: float, hi: float, ends, width: float):
+    """A bisect predicate on [lo, hi], holding where a value exceeds 1.0, from values_of, which
+    maps a float array to values entry by entry; ends holds the values at lo and hi.
 
-    At a midpoint it has not seen, it decides in one above_all call every midpoint that the
-    next REFINE_LEVELS bisection steps could reach, caches each answer under its float (0.0
-    and -0.0 share a key), and records each deepest interval under its midpoint, so the next
-    unseen midpoint knows its interval.  bisect still picks every step, so it asks and
-    returns what it would with one above_all call per step.
+    At a midpoint it has not seen, it predicts each answer from the line through the values
+    at the ends of that midpoint's interval (equal ends predict one answer throughout),
+    walks bisect's steps (same stop rules) on the prediction, records both halves' midpoints
+    under their intervals, and decides every midpoint of the walk in one values_of call.
+    bisect still picks every step from decided values, so it asks and returns what it would
+    with one values_of call per step.
     """
-    known: dict[float, bool] = {}
+    # Python floats, so an overflowing slope is inf without a warning; 0.0 and -0.0 share a key
+    value = dict(zip((lo, hi), map(float, ends)))
     interval = {(lo + hi) / 2: (lo, hi)}
 
     def above(mid: float) -> bool:
-        if mid not in known:
-            level, points = [interval[mid]], []
-            for _ in range(REFINE_LEVELS):
-                mids = [(a + b) / 2 for a, b in level]
-                points += mids
-                level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
-            interval.update(((a + b) / 2, (a, b)) for a, b in level)
-            known.update(zip(points, above_all(np.array(points)).tolist()))
-        return known[mid]
+        if mid not in value:
+            a, b = x0, x1 = interval[mid]  # bisect asks only when x1 - x0 > width >= 0
+            f0, slope = value[x0], (value[x1] - value[x0]) / (x1 - x0)
+            points = []
+            for _ in range(80):
+                if b - a <= width:
+                    break
+                m = (a + b) / 2
+                points.append(m)
+                interval.update(((x + y) / 2, (x, y)) for x, y in ((a, m), (m, b)))
+                step = (a, m) if f0 + slope * (m - x0) > 1.0 else (m, b)
+                if step == (a, b):
+                    break
+                a, b = step
+            value.update(zip(points, values_of(np.array(points)).tolist()))
+        return value[mid] > 1.0
 
     return above
 
@@ -117,9 +124,9 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
 
     The family states are built and decided in stacks of SCAN_CHUNK grid
     values.  A sign change of (orbit optimum - 1) between neighbours is
-    refined by bisection to 1e-9, deciding REFINE_LEVELS bisection levels
-    per stack (_lookahead); the walk and its threshold are those of one
-    state per step.
+    refined by bisection to 1e-9; each stack decides the walk predicted by
+    interpolating the decided values (_predicted_walk), and the walk and its
+    threshold are those of one state per step.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -141,7 +148,9 @@ def scan_family(family: str, grid, theta: float = np.pi / 4) -> ScanResult:
     flags = verdict.in_aus3
     crossings = np.flatnonzero(flags[:-1] & ~flags[1:])
     if crossings.size:
-        lo, hi = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
-        above = _lookahead(lambda mids: decide(mids).f3_global_max > 1.0, lo, hi)
+        i = crossings[0]
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        ends = verdict.f3_global_max[i : i + 2]
+        above = _predicted_walk(lambda mids: decide(mids).f3_global_max, lo, hi, ends, 1e-9)
         threshold = bisect(above, lo, hi, 1e-9)
     return ScanResult(grid=grid, verdict=verdict, threshold=threshold)

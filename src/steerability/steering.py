@@ -22,9 +22,6 @@ from .linalg import at_state, bisect, first_failure, frobenius_norm, scalar_or_a
 from . import states, teleport
 
 _DIR_TOL = 1e-10
-# Joint-measurability ceiling: three dichotomic qubit observables become
-# compatible at unsharpness 1/sqrt(3), so no state exceeds sqrt(3).
-JM_BOUND = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -87,11 +84,6 @@ def f2_max(rho: np.ndarray) -> float | np.ndarray:
     """Best two-setting value of a state or stack: sqrt(M) = sqrt(s1^2 + s2^2), with M the
     CHSH quantity of teleport.aux_criteria."""
     return scalar_or_array(np.sqrt(teleport.aux_criteria(rho).M))
-
-
-def jm_bound_check(value: float | np.ndarray) -> bool | np.ndarray:
-    """True where the value respects the sqrt(3) joint-measurability ceiling."""
-    return scalar_or_array(np.asarray(value, dtype=float) <= JM_BOUND + 1e-9)
 
 
 def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:

@@ -129,7 +129,7 @@ class TestScan:
         result = families.scan_family("werner", grid)
         assert result.threshold is not None
         assert abs(result.threshold - 1 / np.sqrt(3)) < 1e-9
-        assert len(calls) == 1 + 4  # the grid, then 20 bisection steps in rounds of 5
+        assert len(calls) == 1 + 1  # the grid, then the 20 bisection steps predicted in one stack
 
     @pytest.mark.parametrize("theta", [0.1, np.pi / 4, 1.4])
     def test_gisin_threshold(self, theta):
@@ -179,7 +179,7 @@ def _coin(x: float, bias: int) -> bool:
 
 
 class TestRefinement:
-    """scan_family decides REFINE_LEVELS bisection levels per stack and keeps the walk of
+    """scan_family decides each predicted bisection walk in one stack and keeps the walk of
     one decide_aus3 call per step."""
 
     @settings(max_examples=60)
@@ -231,8 +231,34 @@ class TestRefinement:
             return decide(member(mid)).f3_global_max > 1.0
 
         assert result.threshold.hex() == linalg.bisect(above, lo, hi, 1e-9).hex()
-        assert len(calls) == grid_calls + math.ceil(len(steps) / families.REFINE_LEVELS)
-        assert all(shape[0] <= 2**families.REFINE_LEVELS - 1 for shape in calls[grid_calls:])
+        refinements = calls[grid_calls:]
+        assert bool(refinements) == bool(steps) and len(refinements) <= len(steps)
+        assert all(shape[0] <= 80 for shape in refinements)
+
+    @pytest.mark.parametrize(
+        "family, lo, hi, step, most",
+        [("werner", 0.5, 0.6, 1e-3, 1), ("gisin", 0.6, 0.7, 1e-3, 2),
+         ("werner", 0.5, 1.0, 1e-2, 1), ("gisin", 0.5, 1.0, 1e-2, 2)],
+    )
+    def test_benchmark_ranges_take_one_or_two_refinement_calls(self, monkeypatch, family, lo, hi, step, most):
+        # the grids `scan --from lo --to hi --step step` builds
+        grid = np.minimum(lo + step * np.arange(round((hi - lo) / step) + 1), hi)
+        decide, sizes = absolute.decide_aus3, []
+        monkeypatch.setattr(absolute, "decide_aus3", lambda rho: sizes.append(len(rho)) or decide(rho))
+        families.scan_family(family, grid)
+        assert sizes[0] == grid.size and 1 <= len(sizes) - 1 <= most
+
+    def test_ends_on_one_side_take_one_round(self, monkeypatch):
+        # 1/sqrt(3) + 5e-10 is in AUS3 by the tolerant flag but has F3 > 1, so both ends of the
+        # crossing lie above 1: the line predicts every strict step down to the lower end
+        grid = np.array([0.5, 1 / np.sqrt(3) + 5e-10, 0.6])
+        decide, sizes = absolute.decide_aus3, []
+        monkeypatch.setattr(absolute, "decide_aus3", lambda rho: sizes.append(len(rho)) or decide(rho))
+        result = families.scan_family("werner", grid)
+        assert result.verdict.in_aus3.tolist() == [True, True, False]
+        assert result.verdict.f3_global_max[1] > 1.0 and sizes == [3, 25]
+        walk = linalg.bisect(lambda p: decide(families.werner(p)).f3_global_max > 1.0, grid[1], grid[2], 1e-9)
+        assert result.threshold.hex() == walk.hex()
 
     @settings(max_examples=80)
     @given(
@@ -243,22 +269,47 @@ class TestRefinement:
     @example(ends=(0.0, 1.0), bias=240, width=0.0)  # stopped by the 80-step cap
     @example(ends=(0.1, 0.9), bias=128, width=0.0)  # stopped at a fixed point, after 56 steps
     @example(ends=(1.0, math.nextafter(1.0, 2.0)), bias=128, width=0.0)  # adjacent floats
+    @example(ends=(1.0, math.nextafter(1.0, 2.0)), bias=256, width=0.0)  # adjacent, equal ends
+    @example(ends=(0.0, 5e-324), bias=192, width=0.0)  # adjacent subnormals: the slope overflows
+    @example(ends=(0.1, 0.9), bias=0, width=1e-9)  # equal end values: one answer predicted
     @example(ends=(0.1, 0.9), bias=128, width=1e-9)  # stopped by the width, after 30 steps
-    def test_lookahead_asks_what_the_plain_predicate_asks(self, ends, bias, width):
+    def test_predicted_walk_asks_what_the_plain_predicate_asks(self, ends, bias, width):
         lo, hi = sorted(ends)
-        plain, ahead = [], []
+        plain, walked = [], []
 
         def above(mid):
             plain.append(mid)
             return _coin(mid, bias)
 
-        lookahead = families._lookahead(
-            lambda mids: np.array([_coin(m, bias) for m in mids.tolist()]), lo, hi
-        )
+        def values(xs):  # the coin as values on either side of 1.0
+            return np.array([2.0 if _coin(x, bias) else 0.0 for x in np.ravel(xs).tolist()])
+
+        predicted = families._predicted_walk(values, lo, hi, values([lo, hi]), width)
 
         def cached(mid):
-            ahead.append(mid)
-            return lookahead(mid)
+            walked.append(mid)
+            return predicted(mid)
 
         assert linalg.bisect(cached, lo, hi, width).hex() == linalg.bisect(above, lo, hi, width).hex()
-        assert [m.hex() for m in ahead] == [m.hex() for m in plain]
+        assert [m.hex() for m in walked] == [m.hex() for m in plain]
+
+    @pytest.mark.parametrize(
+        "ends, level, rounds",
+        [((1.0, 1.0), 1.0, 1), ((3.0, 3.0), 3.0, 1), ((np.nan, np.nan), np.nan, 1),
+         ((5.0, 6.0), 5.0, 1), ((-6.0, -5.0), -6.0, 1), ((np.inf, np.inf), np.inf, None),
+         ((0.0, 2.0), 5.0, None)],
+    )
+    def test_degenerate_ends_keep_the_walk(self, ends, level, rounds):
+        # equal ends (no division by their difference), non-finite ends, and a line with no
+        # crossing inside the interval; a constant predicate then takes one round when the
+        # line gives its answer, and bisect still decides every step otherwise
+        asked = []
+
+        def values(xs):
+            asked.append(len(xs))
+            return np.full(len(xs), level)
+
+        predicted = families._predicted_walk(values, 0.25, 0.75, ends, 1e-9)
+        plain = linalg.bisect(lambda mid: level > 1.0, 0.25, 0.75, 1e-9)
+        assert linalg.bisect(predicted, 0.25, 0.75, 1e-9).hex() == plain.hex()
+        assert rounds is None or len(asked) == rounds

@@ -317,8 +317,6 @@ def test_stack_and_scalar_paths_agree_exactly():
     f3_orbit = absolute.f3_global_max(canonical.weights)
     implication = teleport.steer_implies_teleport_check(rhos)
     report = states.spectrum_report(rhos)
-    bounds = np.append(f3, steering.JM_BOUND + np.array([0.0, 1e-9, 2e-9]))
-    assert steering.jm_bound_check(bounds).tolist() == [steering.jm_bound_check(x) for x in bounds]
     for k, M in enumerate(raw):
         assert np.array_equal(validated[k], states.validate(M))
     for k, rho in enumerate(rhos):

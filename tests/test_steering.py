@@ -238,13 +238,6 @@ class TestEqualizedFrame:
             assert got.tobytes() == _reference_equalized_frame(M, k, []).tobytes()
 
 
-class TestBound:
-    def test_jm_bound_values(self):
-        assert steering.jm_bound_check(np.sqrt(3))
-        assert steering.jm_bound_check(0.0)
-        assert not steering.jm_bound_check(1.8)
-
-
 class TestProperties:
     def test_f3_equals_frobenius_and_dominates_f2(self):
         rhos = sampling.random_state([sampling.SeededGenerator(42, k) for k in range(1000)])
@@ -254,7 +247,7 @@ class TestProperties:
         assert np.all(np.abs(f3**2 - np.sum(s**2, axis=-1)) < 1e-10)
         assert np.all(np.abs(f3**2 - np.sum(T**2, axis=(-2, -1))) < 1e-10)
         assert np.all(steering.f2_max(rhos) <= f3 + 1e-12)
-        assert np.all(steering.jm_bound_check(f3))
+        assert np.all(f3 <= np.sqrt(3))  # F3^2 = ||T||_F^2 = 4P - 1 - |a|^2 - |b|^2 <= 3
 
     def test_no_setting_beats_the_optimum(self):
         # 100 settings for each of 1,000 states; draw j belongs to state j // 100
