@@ -89,10 +89,10 @@ def _predicted_walk(values_of, lo: float, hi: float, ends, width: float):
 
     At a midpoint it has not seen, it predicts each answer from the line through the values
     at the ends of that midpoint's interval (equal ends predict one answer throughout),
-    walks bisect's steps (same stop rules) on the prediction, records both halves' midpoints
-    under their intervals, and decides every midpoint of the walk in one values_of call.
-    bisect still picks every step from decided values, so it asks and returns what it would
-    with one values_of call per step.
+    walks bisect on the prediction, records both halves' midpoints under their intervals,
+    and decides every midpoint of the walk in one values_of call. bisect still picks every
+    step from decided values, so it asks and returns what it would with one values_of call
+    per step.
     """
     # Python floats, so an overflowing slope is inf without a warning; 0.0 and -0.0 share a key
     value = dict(zip((lo, hi), map(float, ends)))
@@ -100,19 +100,17 @@ def _predicted_walk(values_of, lo: float, hi: float, ends, width: float):
 
     def above(mid: float) -> bool:
         if mid not in value:
-            a, b = x0, x1 = interval[mid]  # bisect asks only when x1 - x0 > width >= 0
+            x0, x1 = interval[mid]  # bisect asks only when x1 - x0 > width >= 0
             f0, slope = value[x0], (value[x1] - value[x0]) / (x1 - x0)
             points = []
-            for _ in range(80):
-                if b - a <= width:
-                    break
-                m = (a + b) / 2
+
+            def predict(m: float) -> bool:
                 points.append(m)
+                a, b = interval[m]
                 interval.update(((x + y) / 2, (x, y)) for x, y in ((a, m), (m, b)))
-                step = (a, m) if f0 + slope * (m - x0) > 1.0 else (m, b)
-                if step == (a, b):
-                    break
-                a, b = step
+                return f0 + slope * (m - x0) > 1.0
+
+            bisect(predict, x0, x1, width)
             value.update(zip(points, values_of(np.array(points)).tolist()))
         return value[mid] > 1.0
 
