@@ -111,7 +111,8 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict]:
 
 
 def _analysis_lines(path: str, rho: np.ndarray, echo: dict) -> list[str]:
-    # One Bloch form, one eigensystem and one SVD of T; every printed value derives from them.
+    # One Bloch form, one eigensystem and one SVD of T of the validated state; every printed
+    # value derives from them (the witness adds the canonical state's Bloch form and 3x3 eigh).
     form = states.to_bloch(rho)
     canonical = absolute.bell_diagonal_canonical(rho)
     report = states.spectrum_of(rho, canonical.weights)

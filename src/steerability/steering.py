@@ -94,10 +94,8 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
     with plane rotations, possible because the target is majorized by the
     eigenvalues; it stops once their spread is at most 1e-12 of the largest.
     """
-    w, W = np.linalg.eigh(M)
-    W = W[:, ::-1][:, :k]          # top-k eigenvectors, descending
-    D = W.T @ M @ W                # k x k restriction, ~diagonal
-    V = W.copy()
+    W = np.linalg.eigh(M)[1][:, ::-1][:, :k]  # top-k eigenvectors, descending
+    D = W.T @ M @ W                           # k x k restriction, ~diagonal
     mean = np.trace(D) / k
     for _ in range(k - 1):
         d = np.diag(D)
@@ -123,8 +121,8 @@ def _equalized_frame(M: np.ndarray, k: int) -> np.ndarray:
         G[hi, lo] = -s
         G[lo, hi] = s
         D = G.T @ D @ G
-        V = V @ G
-    return V
+        W = W @ G
+    return W
 
 
 def optimal_directions(rho: np.ndarray, n: int) -> MeasurementSetting:
@@ -132,17 +130,18 @@ def optimal_directions(rho: np.ndarray, n: int) -> MeasurementSetting:
 
     The v_i span the top-n right-singular subspace of T, rotated so each
     |T v_i| carries an equal share of the attainable correlation weight;
-    u_i = T v_i / |T v_i|.  When every |T v_i| < 1e-12 (T vanishes on that
-    subspace) the coordinate axes are returned as a placeholder frame.
+    u_i = T v_i / |T v_i|.  T is first scaled by the power of two that brings
+    its largest entry into [1/2, 1), which is exact, so the directions do not
+    depend on the scale of T.  The coordinate axes are returned only for
+    T = 0, where every setting gives 0.
     """
     if n not in (2, 3):
         raise InvalidSetting(f"n must be 2 or 3, got {n}")
     T = states.to_bloch(rho).T
-    V = _equalized_frame(T.T @ T, n)
-    v = V.T  # rows are the v_i
-    Tv = v @ T.T
-    lengths = np.linalg.norm(Tv, axis=1)
-    if np.all(lengths < 1e-12):
+    if not T.any():
         frame = np.eye(3)[:n]
         return MeasurementSetting(u=frame, v=frame)
-    return MeasurementSetting(u=Tv / lengths[:, None], v=v)
+    T = np.ldexp(T, -np.frexp(np.abs(T).max())[1])
+    v = _equalized_frame(T.T @ T, n).T  # rows are the v_i
+    Tv = v @ T.T
+    return MeasurementSetting(u=Tv / np.linalg.norm(Tv, axis=1)[:, None], v=v)

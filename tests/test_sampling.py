@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +57,46 @@ class TestRandomState:
         rng = sampling.SeededGenerator(86).rng()
         mean = np.mean(sampling.states_from_rng(rng, size=10_000), axis=0)
         assert np.max(np.abs(mean - np.eye(4) / 4)) < 0.01
+
+
+def hs_purity_moments():
+    """E[P] and E[P^2] of the purity P = sum_i l_i^2 of Hilbert-Schmidt states, exactly.
+
+    The eigenvalue density is prod_{i<j} (l_i - l_j)^2 on the simplex sum_i l_i = 1, and
+    each monomial integrates there to prod_i a_i! / (sum_i a_i + 3)!."""
+    lam = sympy.symbols("l1:5")
+    density = sympy.prod([(lam[i] - lam[j]) ** 2 for i, j in itertools.combinations(range(4), 2)])
+    purity = sum(x**2 for x in lam)
+
+    def integral(poly):
+        return sum(
+            c * sympy.prod([sympy.factorial(a) for a in m]) / sympy.factorial(sum(m) + 3)
+            for m, c in sympy.Poly(poly, *lam).terms()
+        )
+
+    return [integral(density * purity**k) / integral(density) for k in (1, 2)]
+
+
+class TestPurityMoments:
+    """The exact moments are seed-free oracles: each draw path lies within 5 stderr of both."""
+
+    def test_exact_moments(self):
+        assert hs_purity_moments() == [sympy.Rational(8, 17), sympy.Rational(73, 323)]
+
+    @pytest.mark.parametrize("path", ["states_from_rng", "random_state", "hs_purity"])
+    def test_draws_match_the_exact_moments(self, path):
+        if path == "hs_purity":
+            purity = sampling._hs_purity(sampling._ginibre(sampling.SeededGenerator(122).rng(), (100_000, 4, 4)))
+        else:
+            rhos = (
+                sampling.states_from_rng(sampling.SeededGenerator(120).rng(), size=50_000)
+                if path == "states_from_rng"
+                else sampling.random_state([sampling.SeededGenerator(121, k) for k in range(10_000)])
+            )
+            purity = np.sum(np.abs(rhos) ** 2, axis=(-2, -1))
+        for k, exact in ((1, 8 / 17), (2, 73 / 323)):
+            stderr = np.std(purity**k) / np.sqrt(len(purity))
+            assert abs(np.mean(purity**k) - exact) <= 5 * stderr
 
 
 class TestEmpiricalSup:

