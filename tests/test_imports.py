@@ -2,6 +2,9 @@
 one another, and the package exports each public name from the module that defines it."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -64,3 +67,12 @@ def test_each_public_name_is_exported_from_its_home():
         and obj.__module__ != f"steerability.{node.module}"
     ]
     assert not strays, "exported away from home: " + ", ".join(strays)
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # setup_s times a fresh `import steerability.cli`; concurrent.futures would add about
+    # 6 ms to it, most of it in the logging module it imports
+    code = "import sys, steerability.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert fresh.stdout == "[]\n"

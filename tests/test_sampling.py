@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -86,7 +88,8 @@ class TestPurityMoments:
     @pytest.mark.parametrize("path", ["states_from_rng", "random_state", "hs_purity"])
     def test_draws_match_the_exact_moments(self, path):
         if path == "hs_purity":
-            purity = sampling._hs_purity(sampling._ginibre(sampling.SeededGenerator(122).rng(), (100_000, 4, 4)))
+            ginibre = sampling._ginibre(sampling.SeededGenerator(122).rng(), (100_000, 4, 4))
+            purity = sampling._hs_purity(parts_of(ginibre))
         else:
             rhos = (
                 sampling.states_from_rng(sampling.SeededGenerator(120).rng(), size=50_000)
@@ -254,6 +257,11 @@ class TestVolumeEstimate:
         assert fraction == np.mean(purities <= 0.5)
 
 
+def parts_of(ginibre):
+    """The (2, n, 4, 4) real and imaginary parts of a Ginibre stack, the form _hs_purity reads."""
+    return np.stack([ginibre.real, ginibre.imag])
+
+
 def rho_based_fraction(samples, g):
     """The volume estimate's count made from rho: states_from_rng in chunks of 8192."""
     rng, hits = g.rng(), 0
@@ -283,11 +291,14 @@ class TestFastPurity:
     def test_verdict_equals_the_rho_based_one(self, seed, size):
         ginibre = sampling._ginibre(sampling.SeededGenerator(seed).rng(), (size, 4, 4))
         rhos = sampling._hilbert_schmidt(ginibre)
-        fast = sampling._hs_purity(ginibre)
+        fast = sampling._hs_purity(parts_of(ginibre))
         assert np.array_equal(fast <= 0.5, sampling.purity_at_most_half(rhos))
         assert np.max(np.abs(fast - np.sum(np.abs(rhos) ** 2, axis=(-2, -1)))) <= sampling._HS_GUARD / 1000
 
-    @pytest.mark.parametrize("samples, seed", [(100, 3), (8192, 5), (8193, 6), (20_000, 0), (20_000, 11)])
+    @pytest.mark.parametrize(
+        "samples, seed",
+        [(100, 3), (8192, 5), (8193, 6), (16_384, 7), (16_385, 8), (20_000, 0), (20_000, 11), (24_577, 9)],
+    )
     def test_exact_path_everywhere_gives_the_rho_based_fraction(self, samples, seed, monkeypatch):
         fast = sampling.aus3_volume_estimate(samples, sampling.SeededGenerator(seed))
         monkeypatch.setattr(sampling, "_HS_GUARD", 1.0)
@@ -298,12 +309,12 @@ class TestFastPurity:
     @pytest.mark.parametrize("seed", range(5))
     def test_boundary_states_keep_the_rho_based_verdict(self, seed, monkeypatch):
         ginibre = boundary_ginibre(seed)
-        fast = sampling._hs_purity(ginibre)
+        fast = sampling._hs_purity(parts_of(ginibre))
         exact = sampling.purity_at_most_half(sampling._hilbert_schmidt(ginibre))
         assert np.all(np.abs(fast - 0.5) <= sampling._HS_GUARD)
         assert 0 < np.sum(exact) < len(exact)
         assert np.any((fast <= 0.5) != exact)  # the guard is what keeps these verdicts
-        monkeypatch.setattr(sampling, "_ginibre", lambda rng, shape: ginibre[: shape[0]])
+        monkeypatch.setattr(sampling, "_ginibre_parts", lambda rng, out: np.copyto(out, parts_of(ginibre)))
         fraction, _ = sampling.aus3_volume_estimate(len(ginibre), sampling.SeededGenerator(seed))
         assert fraction == np.mean(exact)
 
@@ -317,7 +328,7 @@ class TestFastPurity:
 
         rng, near = sampling.SeededGenerator(0).rng(), []
         for done in range(0, 20_000, 8192):
-            purity = sampling._hs_purity(sampling._ginibre(rng, (min(8192, 20_000 - done), 4, 4)))
+            purity = sampling._hs_purity(parts_of(sampling._ginibre(rng, (min(8192, 20_000 - done), 4, 4))))
             near.append(int(np.sum(np.abs(purity - 0.5) <= guard)))
         expected = rho_based_fraction(20_000, sampling.SeededGenerator(0))
         monkeypatch.setattr(sampling, "_HS_GUARD", guard)
@@ -326,6 +337,81 @@ class TestFastPurity:
         assert sizes == near
         assert fraction == expected
         assert (sum(sizes) > 0) == (guard > 1e-6)
+
+
+class TestDrawThread:
+    """aus3_volume_estimate draws the next chunk on one worker thread; an error on either
+    side reaches the caller as raised, after the worker is joined."""
+
+    def test_a_draw_error_reaches_the_caller(self, monkeypatch):
+        draw, sizes, error = sampling._ginibre_parts, [], RuntimeError("draw failed")
+
+        def failing(rng, out):
+            sizes.append(out.shape[1])
+            if len(sizes) == 2:
+                raise error
+            draw(rng, out)
+
+        before = threading.active_count()
+        monkeypatch.setattr(sampling, "_ginibre_parts", failing)
+        with pytest.raises(RuntimeError) as caught:
+            sampling.aus3_volume_estimate(20_000, sampling.SeededGenerator(0))
+        assert caught.value is error
+        assert sizes == [8192, 8192]
+        assert threading.active_count() == before
+
+    def test_a_reduction_error_stops_the_worker(self, monkeypatch):
+        draw, sizes, error = sampling._ginibre_parts, [], RuntimeError("reduction failed")
+
+        def counted(rng, out):
+            sizes.append(out.shape[1])
+            draw(rng, out)
+
+        def failing(parts):
+            raise error
+
+        before = threading.active_count()
+        monkeypatch.setattr(sampling, "_ginibre_parts", counted)
+        monkeypatch.setattr(sampling, "_hs_purity", failing)
+        with pytest.raises(RuntimeError) as caught:
+            sampling.aus3_volume_estimate(100_000, sampling.SeededGenerator(0))
+        assert caught.value is error
+        assert sizes == [8192, 8192]  # the worker draws one chunk ahead, then stops
+        assert threading.active_count() == before
+
+    def test_a_success_leaves_the_handoff_unbroken(self, monkeypatch):
+        # the caller breaks the barrier only on an error: breaking it after a success races
+        # the worker's last wait, and the BrokenBarrierError the worker then stores ties the
+        # chunk buffers into a reference cycle that holds them until the garbage collector runs
+        barriers = []
+
+        class Recorded(threading.Barrier):
+            def __init__(self, parties):
+                super().__init__(parties)
+                barriers.append(self)
+
+        monkeypatch.setattr(threading, "Barrier", Recorded)
+        for samples in (100, 20_000):
+            sampling.aus3_volume_estimate(samples, sampling.SeededGenerator(0))
+        assert [barrier.broken for barrier in barriers] == [False, False]
+
+    def test_calls_on_several_threads_keep_their_bits(self):
+        # more callers than cores, each with its own worker, switching threads often
+        def estimate(seed):
+            return sampling.aus3_volume_estimate(20_000, sampling.SeededGenerator(seed))
+
+        expected, results, interval = [estimate(k) for k in range(6)], [None] * 6, sys.getswitchinterval()
+        threads = [threading.Thread(target=lambda k=k: results.__setitem__(k, estimate(k))) for k in range(6)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
 
 def edge_states():

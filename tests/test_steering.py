@@ -243,6 +243,13 @@ class TestEqualizedFrame:
             assert [math.cos(x) for x in angles] == [float(np.cos(x)) for x in angles]
             assert [math.sin(x) for x in angles] == [float(np.sin(x)) for x in angles]
 
+    def test_math_trig_rounds_like_numpy_arrays(self):
+        # a stacked bisection would evaluate np.cos/np.sin on arrays, whose SIMD loops
+        # depend on the machine; they must round like math.cos/math.sin element by element
+        angles = np.random.default_rng(49).uniform(0.0, np.pi / 2, 1_000_000)
+        assert np.cos(angles).tolist() == [math.cos(x) for x in angles.tolist()]
+        assert np.sin(angles).tolist() == [math.sin(x) for x in angles.tolist()]
+
     @pytest.mark.parametrize(
         "T",
         [
