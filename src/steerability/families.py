@@ -87,27 +87,25 @@ def _predicted_walk(values_of, lo: float, hi: float, ends, width: float):
     """A bisect predicate on [lo, hi], holding where a value exceeds 1.0, from values_of, which
     maps a float array to values entry by entry; ends holds the values at lo and hi.
 
-    At a midpoint it has not seen, it predicts each answer from the line through the values
-    at the ends of that midpoint's interval (equal ends predict one answer throughout),
-    walks bisect on the prediction, records both halves' midpoints under their intervals,
-    and decides every midpoint of the walk in one values_of call. bisect still picks every
-    step from decided values, so it asks and returns what it would with one values_of call
-    per step.
+    At a midpoint it has not seen, it starts a round from the nearest decided values below
+    and above it, which are the ends of that midpoint's interval: bisect stepped through
+    both, and a round's points after its first wrong guess lie in the half bisect left. It
+    predicts each answer from the line through those values (equal ends predict one answer
+    throughout), walks bisect on the prediction, and decides every midpoint of the walk in
+    one values_of call. bisect still picks every step from decided values, so it asks and
+    returns what it would with one values_of call per step.
     """
     # Python floats, so an overflowing slope is inf without a warning; 0.0 and -0.0 share a key
     value = dict(zip((lo, hi), map(float, ends)))
-    interval = {(lo + hi) / 2: (lo, hi)}
 
     def above(mid: float) -> bool:
         if mid not in value:
-            x0, x1 = interval[mid]  # bisect asks only when x1 - x0 > width >= 0
+            x0, x1 = max(x for x in value if x < mid), min(x for x in value if x > mid)
             f0, slope = value[x0], (value[x1] - value[x0]) / (x1 - x0)
             points = []
 
             def predict(m: float) -> bool:
                 points.append(m)
-                a, b = interval[m]
-                interval.update(((x + y) / 2, (x, y)) for x, y in ((a, m), (m, b)))
                 return f0 + slope * (m - x0) > 1.0
 
             bisect(predict, x0, x1, width)

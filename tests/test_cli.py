@@ -341,6 +341,37 @@ class TestVerify:
         assert local is None or local in fn.__code__.co_varnames
 
 
+class TestOneValidatePerState:
+    """validate is not idempotent on the states it clamps (their renormalized matrix may clamp
+    again), so a second call on a report path would move the last bits of those reports only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, validate, decide = collections.Counter(), states.validate, absolute.decide_aus3
+        monkeypatch.setattr(states, "validate", lambda M: calls.update(["validate"]) or validate(M))
+        monkeypatch.setattr(absolute, "decide_aus3", lambda rho: calls.update(["decide"]) or decide(rho))
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in (DATA / "analyze").glob("*.json")))
+    def test_analyze_validates_its_state_once(self, name, calls, monkeypatch, capsys):
+        monkeypatch.chdir(DATA / "analyze")
+        assert main(["analyze", "--in", f"{name}.json"]) == 0
+        assert calls == {"validate": 1}
+
+    @pytest.mark.parametrize(
+        "argv, validates",
+        [(["scan", "--family", "gisin", "--from", "0.6", "--to", "0.7", "--step", "1e-3"], 3),
+         (["scan", "--family", "werner", "--from", "0", "--to", "1", "--step", "1e-2"], 2),
+         (["sample", "--samples", "20000"], 0), (["verify", "--trials", "5"], 4)],
+    )
+    def test_each_stack_is_validated_once(self, argv, validates, calls, capsys):
+        # a scan validates each stack it decides (the grid, then one per refinement round)
+        assert main(argv) == 0
+        assert calls["validate"] == validates
+        if argv[0] == "scan":
+            assert calls["decide"] == validates
+
+
 def _family(tmp_path, family, **parameters):
     record = {"format": "family", "family": family, "parameters": parameters}
     return ["analyze", "--in", write_json(tmp_path / "state.json", record)]

@@ -294,6 +294,26 @@ class TestRefinement:
         assert [m.hex() for m in walked] == [m.hex() for m in plain]
 
     @pytest.mark.parametrize(
+        "ends, bias, width, rounds",
+        [((0.0, 1.0), 240, 0.0, 44), ((0.1, 0.9), 128, 0.0, 32), ((-1.0, 1.0), 128, 0.0, 29),
+         ((0.1, 0.9), 128, 1e-9, 19), ((0.1, 0.9), 192, 1e-9, 15), ((0.25, 0.75), 240, 1e-9, 14),
+         ((0.1, 0.9), 0, 1e-9, 1), ((1.0, math.nextafter(1.0, 2.0)), 128, 0.0, 0)],
+    )
+    def test_each_round_starts_from_the_interval_bisect_holds(self, ends, bias, width, rounds):
+        # a round started from any other interval predicts other midpoints after its first
+        # wrong guess, so the coin walks would take another number of values_of calls
+        asked = []
+
+        def values(xs):
+            asked.append(len(xs))
+            return np.array([2.0 if _coin(x, bias) else 0.0 for x in np.ravel(xs).tolist()])
+
+        lo, hi = ends
+        predicted = families._predicted_walk(values, lo, hi, [2.0 * _coin(x, bias) for x in ends], width)
+        linalg.bisect(predicted, lo, hi, width)
+        assert len(asked) == rounds
+
+    @pytest.mark.parametrize(
         "ends, level, rounds",
         [((1.0, 1.0), 1.0, 1), ((3.0, 3.0), 3.0, 1), ((np.nan, np.nan), np.nan, 1),
          ((5.0, 6.0), 5.0, 1), ((-6.0, -5.0), -6.0, 1), ((np.inf, np.inf), np.inf, None),

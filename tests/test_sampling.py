@@ -102,6 +102,71 @@ class TestPurityMoments:
             assert abs(np.mean(purity**k) - exact) <= 5 * stderr
 
 
+def face_average(f, split, order):
+    """Average of f(rho) over the face l_4 = 0 of the eigenvalue simplex, weighted by the
+    Hilbert-Schmidt density q = prod_{i<j} (l_i - l_j)^2 (with l_4 = 0 on that face).
+
+    rho is the distance from the face centre (1/3, 1/3, 1/3, 0), which lies 1/sqrt(12) from
+    I/4.  Gauss-Legendre of the given order in polar coordinates about the centre: six
+    sectors, each from a vertex direction to the nearest edge's normal, so the distance to
+    the edge is smooth in each; each ray is split at rho = split, where f may have a kink."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    plane = np.array([[1, -1, 0], [1, 1, -2]]) / np.sqrt([[2], [6]])
+    normals = np.radians([90, 210, 330])  # the vertices lie at 30, 150 and 270 degrees
+    total = weighted = 0.0
+    for k in range(6):
+        a, b = np.radians([30 + 60 * k, 90 + 60 * k])
+        phi, w_phi = (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
+        edge = 1 / np.sqrt(6) / np.cos(phi[:, None] - normals).max(axis=1)  # inradius 1/sqrt(6)
+        for lo, hi in ((0.0, np.minimum(split, edge)), (np.minimum(split, edge), edge)):
+            rho = ((lo + hi) / 2)[:, None] + ((hi - lo) / 2)[:, None] * x
+            area = w_phi[:, None] * ((hi - lo) / 2)[:, None] * w * rho
+            direction = np.cos(phi)[:, None, None] * plane[0] + np.sin(phi)[:, None, None] * plane[1]
+            lam = np.append(1 / 3 + rho[..., None] * direction, np.zeros(rho.shape + (1,)), axis=-1)
+            pairs = itertools.combinations(range(4), 2)
+            q = np.prod([(lam[..., i] - lam[..., j]) ** 2 for i, j in pairs], axis=0)
+            total += np.sum(q * area)
+            weighted += np.sum(q * f(rho) * area)
+    return weighted / total
+
+
+def purity_cdf(t, order):
+    """P(purity <= t) for Hilbert-Schmidt states, t in [1/4, 1/2].
+
+    The density is homogeneous of degree 12 about I/4 and purity is 1/4 + r^2, so on the ray
+    from I/4 through a face point at distance R the state s R (s in [0, 1]) has weight s^14
+    ds, and the fraction of the ray with purity <= t is min(1, r_t / R)^15, r_t^2 = t - 1/4.
+    The kink lies where R = r_t, at rho^2 = t - 1/3 (the incircle at t = 1/2)."""
+
+    def within(rho):
+        return np.minimum(1.0, (t - 0.25) / (1 / 12 + rho**2)) ** 7.5
+
+    return face_average(within, math.sqrt(max(t - 1 / 3, 0.0)), order)
+
+
+class TestPurityLaw:
+    """P(purity <= 1/2), the fraction sample estimates, from a quadrature of the exact law."""
+
+    def test_the_face_quadrature_gives_the_exact_moments(self):
+        # E[s^2] = 15/17 and E[s^4] = 15/19 along the rays, so both moments are face averages
+        mean_r2 = face_average(lambda rho: 1 / 12 + rho**2, 0.0, 32)
+        mean_r4 = face_average(lambda rho: (1 / 12 + rho**2) ** 2, 0.0, 32)
+        assert 1 / 4 + 15 / 17 * mean_r2 == pytest.approx(8 / 17, abs=1e-15)
+        assert 1 / 16 + 15 / 34 * mean_r2 + 15 / 19 * mean_r4 == pytest.approx(73 / 323, abs=1e-15)
+
+    def test_orders_agree_on_the_orbit_safe_fraction(self):
+        values = [purity_cdf(0.5, order) for order in (32, 64, 128)]
+        assert max(values) - min(values) <= 1e-13
+        assert round(values[0], 14) == 0.70831268930722
+        assert purity_cdf(0.3, 64) == pytest.approx(5.9008e-5, rel=1e-4)
+        assert purity_cdf(0.4, 64) == pytest.approx(0.1336473, abs=1e-7)
+
+    def test_sample_estimate_lies_within_5_stderr(self):
+        # seed 0, the sample command's default, fixed before the first run
+        fraction, stderr = sampling.aus3_volume_estimate(10**6, sampling.SeededGenerator(0))
+        assert abs(fraction - purity_cdf(0.5, 64)) <= 5 * stderr
+
+
 class TestEmpiricalSup:
     def test_maximally_mixed_is_fixed_point(self):
         got = sampling.empirical_f3_sup(np.eye(4) / 4, 50, sampling.SeededGenerator(87))
